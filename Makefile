@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: verify vet build test no-legacy-rollback allocs-gate obs-gate flight-gate race paxos-stress bench sched-ablation admit-ablation schedfast-ablation multikey-ablation optimistic-ablation rollback-ablation recovery-ablation compartment-ablation obs-ablation
+.PHONY: verify fmt vet build test no-legacy-rollback allocs-gate obs-gate flight-gate race paxos-stress bench sched-ablation admit-ablation schedfast-ablation multikey-ablation optimistic-ablation rollback-ablation recovery-ablation compartment-ablation obs-ablation
 
-verify: vet build test no-legacy-rollback allocs-gate obs-gate flight-gate
+verify: fmt vet build test no-legacy-rollback allocs-gate obs-gate flight-gate
+
+# Every Go file is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -26,13 +30,19 @@ no-legacy-rollback:
 		exit 1; \
 	fi
 
-# Steady-state allocation gate for the two admission hot paths: the
-# index engine's batched keyed admission and the proxy-proposer's
-# frame admission must both report 0 allocs/op (pooled inodes/tokens/
-# reader groups and the pooled group buffers make admission recycle
-# everything it touches; warm-up growth is excluded by the benchmarks'
-# own design). A regression that re-introduces per-command garbage
-# fails verify, not just a benchmark diff.
+# Allocation gates, bottom-up and end to end:
+#   - the two admission hot paths — the index engine's batched keyed
+#     admission and the proxy-proposer's frame admission — report 0
+#     allocs/op (pooled inodes/tokens/reader groups and pooled group
+#     buffers recycle everything they touch; warm-up growth is excluded
+#     by the benchmarks' own design);
+#   - the request/response codecs cost one exactly-sized frame per
+#     encode and nothing per decode with a warm reply interner;
+#   - the whole decided path stays within its allocs-per-command budget
+#     on an sP-SMR/index cluster behind a proxy and relay and on a
+#     classic-SMR cluster (TestDecidedPathAllocsPerCommand).
+# A regression that re-introduces per-command garbage fails verify, not
+# just a benchmark diff.
 allocs-gate:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkAdmitKeyedIndexBatch$$' -benchmem -benchtime 100000x ./internal/sched/); \
 	echo "$$out"; \
@@ -42,6 +52,13 @@ allocs-gate:
 	echo "$$out"; \
 	echo "$$out" | grep -q 'BenchmarkProxySubmit.* 0 allocs/op' || \
 		{ echo "allocs-gate: BenchmarkProxySubmit no longer 0 allocs/op"; exit 1; }
+	@out=$$($(GO) test -run '^$$' -bench 'Benchmark(AppendRequest|AppendResponse|DecodeRequestInto)$$' -benchmem -benchtime 100000x ./internal/command/); \
+	echo "$$out"; \
+	echo "$$out" | grep -q 'BenchmarkAppendRequest.* 1 allocs/op' && \
+	echo "$$out" | grep -q 'BenchmarkAppendResponse.* 1 allocs/op' && \
+	echo "$$out" | grep -q 'BenchmarkDecodeRequestInto.* 0 allocs/op' || \
+		{ echo "allocs-gate: request/response codec allocations regressed"; exit 1; }
+	$(GO) test -count=1 -run 'TestDecidedPathAllocsPerCommand$$' -v .
 
 # Sampled-tracing overhead gate: best-of-3 throughput on the e2e
 # sP-SMR/index kv workload with 1-in-1024 stage tracing must stay

@@ -48,11 +48,11 @@ func withCompartment(p, batch, fan int) func(*psmr.Config) {
 // 500ms delay can fire), so the assertion is deterministic.
 func TestProxyFrameCompressionE2E(t *testing.T) {
 	cl, err := psmr.StartCluster(psmr.Config{
-		Mode:      psmr.ModeSPSMR,
-		Workers:   2,
-		Scheduler: psmr.SchedIndex,
-		Spec:      kvstore.Spec(),
-		Proxies:   1,
+		Mode:       psmr.ModeSPSMR,
+		Workers:    2,
+		Scheduler:  psmr.SchedIndex,
+		Spec:       kvstore.Spec(),
+		Proxies:    1,
 		ProxyBatch: 8,
 		ProxyDelay: 500 * time.Millisecond,
 		NewService: func() command.Service {

@@ -54,12 +54,14 @@ import (
 type KeyFunc func(input []byte) (key uint64, ok bool)
 
 // KeySetFunc extracts the set of object keys a command invocation
-// touches (a multi-key command's read/write set, à la CBASE). The
-// returned slice may be unsorted and contain duplicates; the compiled
-// spec canonicalises it. ok is false (or the set empty) when the
+// touches (a multi-key command's read/write set, à la CBASE) by
+// appending them to dst and returning the extended slice, so callers
+// that keep a scratch buffer extract without allocating. The appended
+// keys may be unsorted and contain duplicates; the compiled spec
+// canonicalises them. ok is false (or nothing is appended) when the
 // invocation's key set cannot be determined — such invocations fall
 // back to synchronous mode, like keyless invocations of keyed commands.
-type KeySetFunc func(input []byte) (keys []uint64, ok bool)
+type KeySetFunc func(dst []uint64, input []byte) (keys []uint64, ok bool)
 
 // Command declares one command of a service. At most one of Key and
 // KeySet may be set; the single-key Key is the adapter for commands
@@ -547,16 +549,16 @@ func (c *Compiled) KeySet(cmd command.ID, input []byte) ([]uint64, bool) {
 // returns the extended slice, allocating only when dst lacks capacity.
 // This is the index engine's admission-path variant — tokens carry
 // small inline key buffers, so steady-state multi-key admission reuses
-// them instead of paying KeySet's per-call copy. On ok == false dst is
+// them instead of paying KeySet's per-call allocation. On ok == false dst is
 // returned unchanged (len(dst) is restored even if the extractor ran).
 func (c *Compiled) AppendKeySet(dst []uint64, cmd command.ID, input []byte) ([]uint64, bool) {
 	base := len(dst)
 	if ksf := c.keySets[cmd]; ksf != nil {
-		keys, ok := ksf(input)
-		if !ok || len(keys) == 0 {
+		keys, ok := ksf(dst, input)
+		if !ok || len(keys) <= base {
 			return dst[:base], false
 		}
-		dst = append(dst, keys...)
+		dst = keys
 		out := dst[base:]
 		// Insertion sort + in-place dedup: key sets are small (2-4
 		// keys), so this beats sort.Slice without its closure overhead.

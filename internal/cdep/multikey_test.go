@@ -10,14 +10,13 @@ import (
 
 const cmdXferT command.ID = 5
 
-func xferKeysFromInput(input []byte) ([]uint64, bool) {
+func xferKeysFromInput(dst []uint64, input []byte) ([]uint64, bool) {
 	if len(input) < 16 {
-		return nil, false
+		return dst, false
 	}
-	return []uint64{
+	return append(dst,
 		binary.LittleEndian.Uint64(input),
-		binary.LittleEndian.Uint64(input[8:16]),
-	}, true
+		binary.LittleEndian.Uint64(input[8:16])), true
 }
 
 func xferInput(from, to uint64) []byte {

@@ -5,6 +5,23 @@
 // A replicated service is a deterministic state machine: Execute must
 // depend only on the current state and the command, never on wall-clock
 // time, randomness, or goroutine identity (paper §III).
+//
+// Buffer ownership on the wire path:
+//
+//   - A decoded Request aliases the frame it was decoded from: Input is
+//     a sub-slice of the frame, so the frame must stay unmodified for as
+//     long as the request (or anything the service retained from its
+//     input) is live. Decoders slab-allocate requests per decided batch
+//     or reuse one per worker; a Request is never shared across frames.
+//   - Reply may be interned: DecodeRequestInto with an Interner returns
+//     a cached string equal to the frame's address bytes instead of
+//     copying them, so a decoder that keeps seeing the same clients
+//     converts each address once.
+//   - A frame handed to Transport.Send belongs to the receiver from then
+//     on (the in-process network delivers the same backing array, and
+//     senders keep request frames for retransmission). Send buffers are
+//     therefore allocated once, exactly sized, and never pooled, and no
+//     decoder aliases frame bytes as a string through unsafe.
 package command
 
 import (
@@ -12,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/psmr/psmr/internal/mvstore"
 	"github.com/psmr/psmr/internal/transport"
@@ -178,8 +196,10 @@ var (
 	ErrShortBuffer = errors.New("command: short buffer")
 )
 
-// AppendRequest appends the wire encoding of r to buf.
+// AppendRequest appends the wire encoding of r to buf, growing buf at
+// most once (to exactly EncodedRequestSize(r) spare bytes).
 func AppendRequest(buf []byte, r *Request) []byte {
+	buf = slices.Grow(buf, EncodedRequestSize(r))
 	buf = binary.LittleEndian.AppendUint64(buf, r.Client)
 	buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(r.Cmd))
@@ -193,8 +213,12 @@ func AppendRequest(buf []byte, r *Request) []byte {
 
 // EncodedRequestSize returns the encoded size of r without encoding it.
 func EncodedRequestSize(r *Request) int {
-	return 8 + 8 + 2 + 8 + 4 + len(r.Input) + 2 + len(r.Reply)
+	return requestHeader + len(r.Input) + 2 + len(r.Reply)
 }
+
+// requestHeader is the fixed prefix of an encoded request: client, seq,
+// command id, γ and the input length.
+const requestHeader = 8 + 8 + 2 + 8 + 4
 
 // PeekRequestID reads the request id (Client, Seq) off an encoded
 // Request without decoding the rest of the frame. ok is false when buf
@@ -202,43 +226,94 @@ func EncodedRequestSize(r *Request) int {
 // arbitrary values (which may not be request encodings at all) should
 // pass such values through untouched rather than treat them as ids.
 func PeekRequestID(buf []byte) (client, seq uint64, ok bool) {
-	if len(buf) < 30 {
+	if len(buf) < requestHeader {
 		return 0, 0, false
 	}
 	return binary.LittleEndian.Uint64(buf[0:8]), binary.LittleEndian.Uint64(buf[8:16]), true
 }
 
-// DecodeRequest decodes one request from buf, returning the remainder.
-// The decoded request aliases buf; callers that retain it must not
-// modify the buffer.
+// DecodeRequest decodes one request from buf into a new Request,
+// returning the remainder. The decoded request aliases buf; callers
+// that retain it must not modify the buffer.
 func DecodeRequest(buf []byte) (*Request, []byte, error) {
-	if len(buf) < 30 {
-		return nil, nil, ErrShortBuffer
+	r := new(Request)
+	rest, err := DecodeRequestInto(r, buf, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	r := &Request{
+	return r, rest, nil
+}
+
+// DecodeRequestInto decodes one request from buf into r and returns
+// the remainder. Input aliases buf. Reply is interned through in when
+// in is non-nil (see Interner) and copied otherwise, so with a warm
+// interner the decode allocates nothing. On error r is left unchanged.
+func DecodeRequestInto(r *Request, buf []byte, in *Interner) ([]byte, error) {
+	if len(buf) < requestHeader {
+		return nil, ErrShortBuffer
+	}
+	inLen := uint64(binary.LittleEndian.Uint32(buf[26:30]))
+	body := buf[requestHeader:]
+	if uint64(len(body)) < inLen+2 {
+		return nil, ErrShortBuffer
+	}
+	replyLen := uint64(binary.LittleEndian.Uint16(body[inLen : inLen+2]))
+	if uint64(len(body)) < inLen+2+replyLen {
+		return nil, ErrShortBuffer
+	}
+	*r = Request{
 		Client: binary.LittleEndian.Uint64(buf[0:8]),
 		Seq:    binary.LittleEndian.Uint64(buf[8:16]),
 		Cmd:    ID(binary.LittleEndian.Uint16(buf[16:18])),
 		Gamma:  Gamma(binary.LittleEndian.Uint64(buf[18:26])),
+		Input:  body[:inLen:inLen],
+		Reply:  in.addr(body[inLen+2 : inLen+2+replyLen]),
 	}
-	inLen := int(binary.LittleEndian.Uint32(buf[26:30]))
-	buf = buf[30:]
-	if len(buf) < inLen+2 {
-		return nil, nil, ErrShortBuffer
-	}
-	r.Input = buf[:inLen:inLen]
-	buf = buf[inLen:]
-	replyLen := int(binary.LittleEndian.Uint16(buf[:2]))
-	buf = buf[2:]
-	if len(buf) < replyLen {
-		return nil, nil, ErrShortBuffer
-	}
-	r.Reply = transport.Addr(buf[:replyLen])
-	return r, buf[replyLen:], nil
+	return body[inLen+2+replyLen:], nil
 }
 
-// AppendResponse appends the wire encoding of resp to buf.
+// internSlot maps an address to its Interner slot (FNV-1a).
+func internSlot(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h % internSlots
+}
+
+// internSlots sizes an Interner: a deployment's decoders see one reply
+// address per client session, so a few dozen slots cover it.
+const internSlots = 64
+
+// Interner caches decoded reply addresses so a decoder that keeps
+// seeing the same clients turns each address into a string once
+// instead of once per request. It is a small direct-mapped table: a
+// hit requires the cached string to equal the frame's bytes exactly, so
+// two addresses sharing a slot only evict each other. The zero value is
+// ready to use; an Interner is owned by one decoding goroutine and is
+// not safe for concurrent use.
+type Interner struct {
+	slots [internSlots]transport.Addr
+}
+
+// addr returns b as an address, from the cache when possible. A nil
+// interner always copies.
+func (in *Interner) addr(b []byte) transport.Addr {
+	if in == nil || len(b) == 0 {
+		return transport.Addr(b)
+	}
+	slot := &in.slots[internSlot(b)]
+	if string(*slot) == string(b) {
+		return *slot
+	}
+	*slot = transport.Addr(b)
+	return *slot
+}
+
+// AppendResponse appends the wire encoding of resp to buf, growing
+// buf at most once (to exactly the encoded size).
 func AppendResponse(buf []byte, resp *Response) []byte {
+	buf = slices.Grow(buf, responseHeader+len(resp.Output))
 	buf = binary.LittleEndian.AppendUint64(buf, resp.Client)
 	buf = binary.LittleEndian.AppendUint64(buf, resp.Seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(resp.Output)))
@@ -246,9 +321,13 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	return buf
 }
 
+// responseHeader is the fixed prefix of an encoded response: client,
+// seq and the output length.
+const responseHeader = 8 + 8 + 4
+
 // DecodeResponse decodes a response frame. The output aliases buf.
 func DecodeResponse(buf []byte) (*Response, error) {
-	if len(buf) < 20 {
+	if len(buf) < responseHeader {
 		return nil, ErrShortBuffer
 	}
 	resp := &Response{

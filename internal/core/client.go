@@ -60,6 +60,10 @@ type Client struct {
 	seq     uint64
 	pending map[uint64]*Call
 	closed  bool
+	// timers is the free list of stopped retransmit timers: Wait takes
+	// one and returns it, so a client allocates one timer per call it
+	// ever had outstanding at once rather than one per call.
+	timers []*time.Timer
 
 	done chan struct{}
 }
@@ -71,7 +75,12 @@ type Call struct {
 	group int
 	frame []byte
 
-	respCh chan []byte
+	// answered and output are set by the demultiplexer, under the
+	// client lock, from the first response; done then carries one
+	// signal (or is closed if the client shuts down first).
+	answered bool
+	output   []byte
+	done     chan struct{}
 }
 
 // NewClient starts a client proxy and its response demultiplexer.
@@ -114,7 +123,7 @@ func (c *Client) Close() error {
 
 	err := c.ep.Close()
 	for _, call := range pending {
-		close(call.respCh)
+		close(call.done)
 	}
 	<-c.done
 	return err
@@ -133,23 +142,28 @@ func (c *Client) Submit(cmd command.ID, input []byte) (*Call, error) {
 	seq := c.seq
 	gamma := c.cfg.CG.Groups(cmd, input, c.rng.Intn)
 	call := &Call{
-		c:      c,
-		seq:    seq,
-		group:  c.physicalGroup(gamma),
-		respCh: make(chan []byte, 1),
+		c:     c,
+		seq:   seq,
+		group: c.physicalGroup(gamma),
+		done:  make(chan struct{}, 1),
 	}
-	call.frame = command.AppendRequest(nil, &command.Request{
+	req := command.Request{
 		Client: c.cfg.ID,
 		Seq:    seq,
 		Cmd:    cmd,
 		Gamma:  gamma,
 		Input:  input,
 		Reply:  c.cfg.ReplyAddr,
-	})
+	}
+	// The request is encoded once, straight into the propose frame the
+	// call keeps for every retransmission.
+	frame, payload := c.cfg.Sender.NewFrame(call.group, command.EncodedRequestSize(&req))
+	command.AppendRequest(payload[:0], &req)
+	call.frame = frame
 	c.pending[seq] = call
 	c.mu.Unlock()
 
-	if err := c.cfg.Sender.Multicast(call.group, call.frame); err != nil {
+	if err := c.cfg.Sender.Send(call.group, call.frame); err != nil {
 		if errors.Is(err, multicast.ErrProxyDown) {
 			// The whole proxy tier is unreachable: fail the submit with
 			// the distinct error instead of letting it pend forever —
@@ -193,30 +207,54 @@ func (c *Client) Invoke(cmd command.ID, input []byte) ([]byte, error) {
 	return call.Wait()
 }
 
-// Done returns the channel carrying the call's response; it is closed
-// without a value if the client shuts down first. Prefer Wait unless
-// selecting over many calls.
-func (call *Call) Done() <-chan []byte { return call.respCh }
+// Done returns a channel that becomes ready once the call's response
+// has arrived, or is closed if the client shuts down first; Wait then
+// returns without blocking. Prefer Wait unless selecting over many
+// calls.
+func (call *Call) Done() <-chan struct{} { return call.done }
 
 // Wait blocks for the response, retransmitting (and rotating the
 // believed group coordinator) on every RetryInterval.
 func (call *Call) Wait() ([]byte, error) {
-	timer := time.NewTimer(call.c.cfg.RetryInterval)
-	defer timer.Stop()
+	c := call.c
+	timer := c.getTimer()
 	for {
 		select {
-		case output, ok := <-call.respCh:
+		case _, ok := <-call.done:
+			timer.Stop()
+			c.mu.Lock()
+			if ok {
+				delete(c.pending, call.seq)
+			}
+			c.timers = append(c.timers, timer)
+			c.mu.Unlock()
 			if !ok {
 				return nil, ErrClientClosed
 			}
-			call.c.forget(call.seq)
-			return output, nil
+			return call.output, nil
 		case <-timer.C:
-			call.c.cfg.Sender.RotateLeader(call.group)
-			_ = call.c.cfg.Sender.Multicast(call.group, call.frame)
-			timer.Reset(call.c.cfg.RetryInterval)
+			c.cfg.Sender.RotateLeader(call.group)
+			_ = c.cfg.Sender.Send(call.group, call.frame)
+			timer.Reset(c.cfg.RetryInterval)
 		}
 	}
+}
+
+// getTimer returns a retransmit timer armed for one RetryInterval,
+// reusing a stopped one when the free list has it. Stop and Reset
+// discard any pending expiry, so a reused timer never fires early.
+func (c *Client) getTimer() *time.Timer {
+	c.mu.Lock()
+	if n := len(c.timers); n > 0 {
+		t := c.timers[n-1]
+		c.timers[n-1] = nil
+		c.timers = c.timers[:n-1]
+		c.mu.Unlock()
+		t.Reset(c.cfg.RetryInterval)
+		return t
+	}
+	c.mu.Unlock()
+	return time.NewTimer(c.cfg.RetryInterval)
 }
 
 func (c *Client) forget(seq uint64) {
@@ -236,14 +274,11 @@ func (c *Client) demux() {
 			continue
 		}
 		c.mu.Lock()
-		call, ok := c.pending[resp.Seq]
-		if ok {
+		if call, ok := c.pending[resp.Seq]; ok && !call.answered {
 			// Leave the entry until Wait consumes it; extra responses
-			// fall into the full-channel default below.
-			select {
-			case call.respCh <- resp.Output:
-			default:
-			}
+			// find the call answered.
+			call.answered, call.output = true, resp.Output
+			call.done <- struct{}{}
 		}
 		c.mu.Unlock()
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
 	"github.com/psmr/psmr/internal/cdep"
+	"github.com/psmr/psmr/internal/command"
 	"github.com/psmr/psmr/internal/kvstore"
 	"github.com/psmr/psmr/internal/multicast"
 	"github.com/psmr/psmr/internal/paxos"
@@ -286,5 +288,98 @@ func TestStartReplicaValidation(t *testing.T) {
 		Transport: net,
 	}); err == nil {
 		t.Fatal("wrong group count accepted")
+	}
+}
+
+// TestClientRetransmitsKeptFrame drives a client against a bare
+// coordinator endpoint that never orders anything: every retry resends
+// the very frame the call encoded at submit (byte-identical, same
+// backing array on the in-process network), the answered call returns
+// its retransmit timer to the client's free list, and the next call
+// reuses it.
+func TestClientRetransmitsKeptFrame(t *testing.T) {
+	net := transport.NewMemNetwork(1)
+	t.Cleanup(func() { _ = net.Close() })
+	coord, err := net.Listen("coord")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	groups := []multicast.GroupConfig{{ID: 3, Coordinators: []transport.Addr{"coord"}}}
+	cg, err := cdep.Compile(kvstore.Spec(), 1)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	c, err := NewClient(ClientConfig{
+		ID:            5,
+		Sender:        multicast.NewSender(net, groups),
+		CG:            cg,
+		Transport:     net,
+		RetryInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+
+	recv := func() []byte {
+		t.Helper()
+		select {
+		case f := <-coord.Recv():
+			return f
+		case <-time.After(2 * time.Second):
+			t.Fatal("no frame at the coordinator")
+			return nil
+		}
+	}
+	for round := 0; round < 2; round++ {
+		call, err := c.Submit(kvstore.CmdRead, kvstore.EncodeKey(1))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		got := make(chan []byte, 1)
+		go func() {
+			out, err := call.Wait()
+			if err != nil {
+				t.Errorf("Wait: %v", err)
+			}
+			got <- out
+		}()
+		first := recv()
+		group, value, ok := paxos.ParsePropose(first)
+		if !ok || group != 3 {
+			t.Fatalf("submitted frame is not a group-3 proposal: %x", first)
+		}
+		req, _, err := command.DecodeRequest(value)
+		if err != nil {
+			t.Fatalf("DecodeRequest: %v", err)
+		}
+		for retry := 0; retry < 2; retry++ {
+			again := recv()
+			if &again[0] != &first[0] || !bytes.Equal(again, first) {
+				t.Fatalf("retry %d sent a different frame", retry)
+			}
+		}
+		resp := command.AppendResponse(nil, &command.Response{Client: req.Client, Seq: req.Seq, Output: []byte{kvstore.OK}})
+		if err := net.Send(req.Reply, resp); err != nil {
+			t.Fatalf("Send response: %v", err)
+		}
+		if out := <-got; !bytes.Equal(out, []byte{kvstore.OK}) {
+			t.Fatalf("Wait returned %x", out)
+		}
+		// A retry may have raced the response: drain it before the next
+		// round's first frame.
+		for drained := false; !drained; {
+			select {
+			case <-coord.Recv():
+			case <-time.After(30 * time.Millisecond):
+				drained = true
+			}
+		}
+		c.mu.Lock()
+		timers := len(c.timers)
+		c.mu.Unlock()
+		if timers != 1 {
+			t.Fatalf("round %d: %d free timers, want the one reused timer", round, timers)
+		}
 	}
 }

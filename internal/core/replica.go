@@ -295,6 +295,13 @@ type worker struct {
 	merger *multicast.Merger
 	dedup  *dedup.Table
 	cpu    *bench.RoleMeter
+
+	// req is the worker's decode target, reused for every delivery: a
+	// command is fully executed and answered (or its barrier released)
+	// before the worker decodes the next one, and nothing downstream
+	// keeps the *Request. replies interns the decoded reply addresses.
+	req     command.Request
+	replies command.Interner
 }
 
 func (w *worker) run() {
@@ -326,8 +333,8 @@ func (w *worker) run() {
 // is stopping.
 func (w *worker) step(item multicast.Item) bool {
 	t0 := time.Now()
-	req, _, err := command.DecodeRequest(item.Payload)
-	if err != nil {
+	req := &w.req
+	if _, err := command.DecodeRequestInto(req, item.Payload, &w.replies); err != nil {
 		w.cpu.Add(time.Since(t0))
 		return true
 	}

@@ -203,25 +203,25 @@ func RunKV(setup KVSetup) (*bench.Result, error) {
 			mode = psmr.ModeSMR
 		}
 		cluster, err := psmr.StartCluster(psmr.Config{
-			Mode:              mode,
-			Workers:           setup.Threads,
-			Replicas:          2,
-			NewService:        newStore,
-			Spec:              spec,
-			Placement:         setup.Placement,
-			Scheduler:         setup.Scheduler,
-			SchedTuning:       setup.Tuning,
+			Mode:                  mode,
+			Workers:               setup.Threads,
+			Replicas:              2,
+			NewService:            newStore,
+			Spec:                  spec,
+			Placement:             setup.Placement,
+			Scheduler:             setup.Scheduler,
+			SchedTuning:           setup.Tuning,
 			Optimistic:            setup.Optimistic,
 			OptimisticReorder:     setup.OptimisticReorder,
 			OptimisticReSpeculate: setup.ReSpeculate,
-			Checkpoint:        psmr.CheckpointConfig{Interval: setup.CheckpointInterval},
-			Proxies:           setup.Proxies,
-			ProxyBatch:        setup.ProxyBatch,
-			ProxyDelay:        setup.ProxyDelay,
-			FanoutDegree:      setup.Fanout,
-			CPU:               cpu,
-			TraceSample:       setup.TraceSample,
-			JournalEvents:     journalEvents(setup.JournalOff),
+			Checkpoint:            psmr.CheckpointConfig{Interval: setup.CheckpointInterval},
+			Proxies:               setup.Proxies,
+			ProxyBatch:            setup.ProxyBatch,
+			ProxyDelay:            setup.ProxyDelay,
+			FanoutDegree:          setup.Fanout,
+			CPU:                   cpu,
+			TraceSample:           setup.TraceSample,
+			JournalEvents:         journalEvents(setup.JournalOff),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("start %v cluster: %w", setup.Technique, err)

@@ -52,6 +52,15 @@ const (
 	ErrNotFound
 )
 
+// statusOK and statusNotFound are the shared outputs of commands that
+// answer with a status byte only. They are read-only: len == cap == 1,
+// so a caller that appends to an output copies it instead of writing
+// through, and nothing writes into outputs in place.
+var (
+	statusOK       = []byte{OK}
+	statusNotFound = []byte{ErrNotFound}
+)
+
 // Store is the replicated key-value store state machine. It must be
 // driven under the concurrency contract of its Spec: reads/updates on
 // distinct keys may run concurrently, inserts/deletes run exclusively
@@ -124,24 +133,24 @@ func (s *Store) Execute(cmd command.ID, input []byte) []byte {
 	case CmdInsert:
 		key, value, ok := decodeKeyValue(input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		s.tree.Insert(key, value)
-		return []byte{OK}
+		return statusOK
 	case CmdDelete:
 		key, ok := decodeKey(input)
 		if !ok || !s.tree.Delete(key) {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
-		return []byte{OK}
+		return statusOK
 	case CmdRead:
 		key, ok := decodeKey(input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		value, found := s.tree.Get(key)
 		if !found {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		out := make([]byte, 1+len(value))
 		out[0] = OK
@@ -150,13 +159,14 @@ func (s *Store) Execute(cmd command.ID, input []byte) []byte {
 	case CmdUpdate:
 		key, value, ok := decodeKeyValue(input)
 		if !ok || !s.tree.Update(key, value) {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
-		return []byte{OK}
+		return statusOK
 	case CmdMultiRead:
-		keys, ok := decodeMultiRead(input)
+		var buf [MaxMultiReadKeys]uint64
+		keys, ok := appendMultiReadKeys(buf[:0], input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		// The scheduler holds every key's reader latch for the whole
 		// invocation, so the values form one consistent snapshot.
@@ -176,7 +186,7 @@ func (s *Store) Execute(cmd command.ID, input []byte) []byte {
 	case CmdTransfer:
 		from, to, amount, ok := decodeTransfer(input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		// The scheduler serializes this invocation against every
 		// command touching from or to, so the two-step read-modify-
@@ -184,16 +194,16 @@ func (s *Store) Execute(cmd command.ID, input []byte) []byte {
 		vf, okF := s.tree.Get(from)
 		vt, okT := s.tree.Get(to)
 		if !okF || !okT || len(vf) < 8 || len(vt) < 8 {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		if from == to {
-			return []byte{OK} // self-transfer: balance unchanged
+			return statusOK // self-transfer: balance unchanged
 		}
 		s.tree.Update(from, encodeValue(binary.LittleEndian.Uint64(vf)-amount))
 		s.tree.Update(to, encodeValue(binary.LittleEndian.Uint64(vt)+amount))
-		return []byte{OK}
+		return statusOK
 	default:
-		return []byte{ErrNotFound}
+		return statusNotFound
 	}
 }
 
@@ -264,24 +274,24 @@ func (s *Store) SpeculateAt(e mvstore.Epoch, cmd command.ID, input []byte) []byt
 	case CmdInsert:
 		key, value, ok := decodeKeyValue(input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		s.mv.Put(e, key, value)
-		return []byte{OK}
+		return statusOK
 	case CmdDelete:
 		key, ok := decodeKey(input)
 		if !ok || !s.mv.Delete(e, key) {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
-		return []byte{OK}
+		return statusOK
 	case CmdRead:
 		key, ok := decodeKey(input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		value, found := s.mv.Get(e, key)
 		if !found {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		out := make([]byte, 1+len(value))
 		out[0] = OK
@@ -290,17 +300,18 @@ func (s *Store) SpeculateAt(e mvstore.Epoch, cmd command.ID, input []byte) []byt
 	case CmdUpdate:
 		key, value, ok := decodeKeyValue(input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		if _, found := s.mv.Get(e, key); !found {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		s.mv.Put(e, key, value)
-		return []byte{OK}
+		return statusOK
 	case CmdMultiRead:
-		keys, ok := decodeMultiRead(input)
+		var buf [MaxMultiReadKeys]uint64
+		keys, ok := appendMultiReadKeys(buf[:0], input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		out := []byte{OK}
 		for _, key := range keys {
@@ -318,21 +329,21 @@ func (s *Store) SpeculateAt(e mvstore.Epoch, cmd command.ID, input []byte) []byt
 	case CmdTransfer:
 		from, to, amount, ok := decodeTransfer(input)
 		if !ok {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		vf, okF := s.mv.Get(e, from)
 		vt, okT := s.mv.Get(e, to)
 		if !okF || !okT || len(vf) < 8 || len(vt) < 8 {
-			return []byte{ErrNotFound}
+			return statusNotFound
 		}
 		if from == to {
-			return []byte{OK}
+			return statusOK
 		}
 		s.mv.Put(e, from, encodeValue(binary.LittleEndian.Uint64(vf)-amount))
 		s.mv.Put(e, to, encodeValue(binary.LittleEndian.Uint64(vt)+amount))
-		return []byte{OK}
+		return statusOK
 	default:
-		return []byte{ErrNotFound}
+		return statusNotFound
 	}
 }
 
@@ -390,20 +401,19 @@ func KeyOf(input []byte) (uint64, bool) {
 
 // TransferKeysOf extracts the {from, to} key set of a transfer (the
 // cdep.KeySetFunc of CmdTransfer).
-func TransferKeysOf(input []byte) ([]uint64, bool) {
+func TransferKeysOf(dst []uint64, input []byte) ([]uint64, bool) {
 	if len(input) < 16 {
-		return nil, false
+		return dst, false
 	}
-	return []uint64{
+	return append(dst,
 		binary.LittleEndian.Uint64(input[:8]),
-		binary.LittleEndian.Uint64(input[8:16]),
-	}, true
+		binary.LittleEndian.Uint64(input[8:16])), true
 }
 
 // MultiReadKeysOf extracts the key set of a snapshot read (the
 // cdep.KeySetFunc of CmdMultiRead).
-func MultiReadKeysOf(input []byte) ([]uint64, bool) {
-	return decodeMultiRead(input)
+func MultiReadKeysOf(dst []uint64, input []byte) ([]uint64, bool) {
+	return appendMultiReadKeys(dst, input)
 }
 
 // EncodeMultiRead builds the input of a snapshot read over a key set.
@@ -485,19 +495,18 @@ func decodeKeyValue(input []byte) (uint64, []byte, bool) {
 	return binary.LittleEndian.Uint64(input[:8]), input[8:], true
 }
 
-func decodeMultiRead(input []byte) ([]uint64, bool) {
+func appendMultiReadKeys(dst []uint64, input []byte) ([]uint64, bool) {
 	if len(input) < 2 {
-		return nil, false
+		return dst, false
 	}
 	count := int(binary.LittleEndian.Uint16(input[:2]))
 	if count == 0 || count > MaxMultiReadKeys || len(input) < 2+8*count {
-		return nil, false
+		return dst, false
 	}
-	keys := make([]uint64, count)
-	for i := range keys {
-		keys[i] = binary.LittleEndian.Uint64(input[2+8*i:])
+	for i := 0; i < count; i++ {
+		dst = append(dst, binary.LittleEndian.Uint64(input[2+8*i:]))
 	}
-	return keys, true
+	return dst, true
 }
 
 func decodeTransfer(input []byte) (from, to, amount uint64, ok bool) {

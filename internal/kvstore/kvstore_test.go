@@ -354,3 +354,41 @@ func TestSnapshotRestoreRejectsCorrupt(t *testing.T) {
 		t.Fatal("fingerprint mismatch after corrupt-then-good restore")
 	}
 }
+
+// TestStatusOutputsShared checks the shared status-only outputs: they
+// are one read-only byte with no spare capacity, so an append by a
+// caller copies instead of corrupting the next command's output.
+func TestStatusOutputsShared(t *testing.T) {
+	s := New()
+	s.Preload(4)
+	a := s.Execute(CmdUpdate, EncodeKeyValue(1, encodeValue(10)))
+	b := s.Execute(CmdUpdate, EncodeKeyValue(2, encodeValue(20)))
+	if len(a) != 1 || cap(a) != 1 || a[0] != OK || &a[0] != &b[0] {
+		t.Fatalf("update outputs %x (cap %d) and %x are not the shared OK status", a, cap(a), b)
+	}
+	_ = append(a, 0xff)
+	if c := s.Execute(CmdUpdate, EncodeKeyValue(3, encodeValue(30))); len(c) != 1 || c[0] != OK {
+		t.Fatalf("status output corrupted by an append: %x", c)
+	}
+	if out := s.Execute(CmdRead, EncodeKey(99)); len(out) != 1 || out[0] != ErrNotFound {
+		t.Fatalf("missing-key read = %x", out)
+	}
+}
+
+// TestKeySetExtractorsAppend checks that the key-set extractors append
+// into the caller's buffer instead of allocating their own.
+func TestKeySetExtractorsAppend(t *testing.T) {
+	buf := make([]uint64, 1, 8)
+	buf[0] = 42
+	keys, ok := TransferKeysOf(buf, EncodeTransfer(3, 5, 1))
+	if !ok || len(keys) != 3 || keys[0] != 42 || keys[1] != 3 || keys[2] != 5 || &keys[0] != &buf[0] {
+		t.Fatalf("TransferKeysOf appended %v (ok %v)", keys, ok)
+	}
+	keys, ok = MultiReadKeysOf(buf[:0], EncodeMultiRead(7, 8, 9))
+	if !ok || len(keys) != 3 || keys[2] != 9 || &keys[0] != &buf[0] {
+		t.Fatalf("MultiReadKeysOf appended %v (ok %v)", keys, ok)
+	}
+	if _, ok := TransferKeysOf(buf[:0], []byte("short")); ok {
+		t.Fatal("short transfer input yielded a key set")
+	}
+}

@@ -98,15 +98,42 @@ func (s *Sender) Multicast(g int, payload []byte) error {
 	if g < 0 || g >= len(s.groups) {
 		return fmt.Errorf("multicast: group %d outside [0,%d)", g, len(s.groups))
 	}
+	frame, value := s.NewFrame(g, len(payload))
+	copy(value, payload)
+	return s.Send(g, frame)
+}
+
+// NewFrame allocates an exactly-sized Propose frame for a payload of n
+// bytes addressed to group g, and returns it with the payload window
+// inside it. Callers encode the payload straight into the window and
+// hand the frame to Send — as often as they retransmit it: frames given
+// to the transport belong to the receiver, so the frame must not be
+// modified or reused for anything else afterwards. g must be a valid
+// group index.
+func (s *Sender) NewFrame(g, n int) (frame, payload []byte) {
+	return paxos.AllocProposeFrame(s.groups[g].ID, n)
+}
+
+// Send multicasts a frame built by NewFrame for the same group g (see
+// Multicast for the routing and error behaviour).
+func (s *Sender) Send(g int, frame []byte) error {
+	if g < 0 || g >= len(s.groups) {
+		return fmt.Errorf("multicast: group %d outside [0,%d)", g, len(s.groups))
+	}
 	grp := &s.groups[g]
-	// Submit-stage stamp: first-write-wins in the tracer, so the
-	// retransmission path keeps the original submit time.
-	s.trace.Stamp(obs.StageSubmit, payload)
-	frame := paxos.NewProposeFrame(grp.ID, payload)
-	// Ship the submit stamp on the wire so out-of-process proxies and
-	// coordinators fold this hop into the same trace (no-op when the
-	// request is not sampled).
-	frame = s.trace.AppendTagForValue(frame, payload)
+	if s.trace != nil {
+		if _, payload, ok := paxos.ParsePropose(frame); ok {
+			// Submit-stage stamp: first-write-wins in the tracer, so the
+			// retransmission path keeps the original submit time.
+			s.trace.Stamp(obs.StageSubmit, payload)
+			// Ship the submit stamp on the wire so out-of-process
+			// proxies and coordinators fold this hop into the same
+			// trace (no-op when the request is not sampled). The clip
+			// makes a tagged frame a copy: the caller keeps the
+			// untagged one for retransmission.
+			frame = s.trace.AppendTagForValue(frame[:len(frame):len(frame)], payload)
+		}
+	}
 	if n := len(s.proxies); n > 0 {
 		start := s.curProxy.Load()
 		var lastErr error

@@ -1,11 +1,14 @@
 package multicast
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"github.com/psmr/psmr/internal/command"
+	"github.com/psmr/psmr/internal/obs"
 	"github.com/psmr/psmr/internal/paxos"
 	"github.com/psmr/psmr/internal/transport"
 )
@@ -444,5 +447,41 @@ func TestEndToEndTwoGroupsTwoReplicas(t *testing.T) {
 		if string(seq0[i].Payload) != string(seq1[i].Payload) {
 			t.Fatalf("replicas diverge at %d: %q vs %q", i, seq0[i].Payload, seq1[i].Payload)
 		}
+	}
+}
+
+// TestSenderKeptFrameStaysUntagged sends one caller-built frame twice
+// through a sender that traces every command: each sent copy carries
+// the submit-stage wire tag, while the caller's kept frame — the one a
+// client retransmits — is never written to.
+func TestSenderKeptFrameStaysUntagged(t *testing.T) {
+	net := transport.NewMemNetwork(1)
+	defer net.Close()
+	ep, err := net.Listen("coord0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	s := NewSender(net, []GroupConfig{{ID: 4, Coordinators: []transport.Addr{"coord0"}}})
+	s.SetTracer(obs.NewTracer(obs.TracerConfig{Sample: 1, Final: obs.StageExecEnd}))
+	payload := command.AppendRequest(nil, &command.Request{Client: 1, Seq: 1, Input: []byte("in"), Reply: "client/1"})
+	frame, window := s.NewFrame(0, len(payload))
+	copy(window, payload)
+	kept := bytes.Clone(frame)
+	for i := 0; i < 2; i++ {
+		if err := s.Send(0, frame); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		var got []byte
+		select {
+		case got = <-ep.Recv():
+		case <-time.After(2 * time.Second):
+			t.Fatal("no frame at the coordinator")
+		}
+		if _, rest, ok := obs.SplitWireTag(got); !ok || !bytes.Equal(rest, kept) {
+			t.Fatalf("send %d: frame %x is not the kept frame plus a wire tag", i, got)
+		}
+	}
+	if !bytes.Equal(frame, kept) {
+		t.Fatal("Send modified the caller's frame")
 	}
 }

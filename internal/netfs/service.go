@@ -84,20 +84,20 @@ func KeyOf(input []byte) (uint64, bool) {
 // parent's entry list, and nothing else. The root has no parent, so
 // operations naming "/" carry a singleton set. Like KeyOf, it reads
 // only the uncompressed path prefix.
-func KeySetOf(input []byte) ([]uint64, bool) {
+func KeySetOf(dst []uint64, input []byte) ([]uint64, bool) {
 	if len(input) < 2 {
-		return nil, false
+		return dst, false
 	}
 	pl := int(binary.LittleEndian.Uint16(input[:2]))
 	if len(input) < 2+pl {
-		return nil, false
+		return dst, false
 	}
 	path := string(input[2 : 2+pl])
-	keys := []uint64{pathHash(path)}
+	dst = append(dst, pathHash(path))
 	if parent := ParentPath(path); parent != "" {
-		keys = append(keys, pathHash(parent))
+		dst = append(dst, pathHash(parent))
 	}
-	return keys, true
+	return dst, true
 }
 
 // Service adapts FS to command.Service, handling the compressed wire

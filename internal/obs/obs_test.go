@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +241,35 @@ func TestTracerConcurrentStamping(t *testing.T) {
 	_, folded, _, _ := tr.Counts()
 	if folded != 8*500 {
 		t.Fatalf("folded = %d, want %d", folded, 8*500)
+	}
+}
+
+// TestTracerConcurrentStampingTinyTable is the collision-heavy variant
+// of TestTracerConcurrentStamping: one bucket of ways shared by many
+// concurrent traces, so stamps do collide. The accounting must still
+// be exact — every trace either folds or is counted dropped.
+func TestTracerConcurrentStampingTinyTable(t *testing.T) {
+	tr := NewTracer(TracerConfig{Sample: 1, Final: StageExecEnd, Slots: 1})
+	const goroutines, perG = 16, 500
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := uint64(0); i < perG; i++ {
+				tr.StampID(StageSubmit, uint64(w+1), i)
+				runtime.Gosched() // keep several traces live at once
+				stampAll(tr, uint64(w+1), i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	_, folded, collisions, _ := tr.Counts()
+	dropped := tr.Dropped()
+	t.Logf("folded %d, dropped %d, stamp collisions %d", folded, dropped, collisions)
+	if folded+dropped != goroutines*perG {
+		t.Fatalf("folded %d + dropped %d = %d, want %d (collisions %d)",
+			folded, dropped, folded+dropped, goroutines*perG, collisions)
 	}
 }
 

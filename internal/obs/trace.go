@@ -78,7 +78,7 @@ type Record struct {
 	TS          [NumStages]int64
 }
 
-// traceSlot is one direct-mapped slot of the in-flight table. key is
+// traceSlot is one way of a bucket of the in-flight table. key is
 // the claimed trace's nonzero id hash (0 = free); claim is the claim
 // time, used to steal slots abandoned by commands that never reached
 // the final stage (lost proposals, ghosts); origin is the local
@@ -96,6 +96,10 @@ const (
 	defaultTraceSample = 1024
 	defaultTraceSlots  = 1024
 	traceRingSize      = 256
+	// traceWays is the in-flight table's associativity: a trace may sit
+	// in any of the traceWays slots of its bucket, so a stamp is lost
+	// only when that many other live traces share the bucket.
+	traceWays = 4
 	// slotEvictAfter steals a slot whose trace never folded (the
 	// command was lost or superseded); generous against any real
 	// pipeline latency.
@@ -114,7 +118,8 @@ type TracerConfig struct {
 	// StageConfirm for optimistic).
 	Final Stage
 	// Slots sizes the in-flight slot table (rounded up to a power of
-	// two). 0 selects the default (1024).
+	// two, and to at least one bucket of 4 ways). 0 selects the default
+	// (1024).
 	Slots int
 }
 
@@ -128,11 +133,11 @@ type TracerConfig struct {
 // each stage's histogram measures the first time the pipeline crossed
 // that boundary for the command.
 type Tracer struct {
-	sample   uint64
-	final    Stage
-	base     time.Time
-	slots    []traceSlot
-	slotMask uint64
+	sample     uint64
+	final      Stage
+	base       time.Time
+	slots      []traceSlot
+	bucketMask uint64 // buckets-1; bucket b holds slots [b*traceWays, (b+1)*traceWays)
 
 	// journal, when attached, receives an EvStage flight-recorder
 	// event for every first crossing of a stage by a sampled command.
@@ -142,6 +147,7 @@ type Tracer struct {
 	folded     atomic.Uint64
 	collisions atomic.Uint64
 	evicted    atomic.Uint64
+	dropped    atomic.Uint64
 
 	mu        sync.Mutex
 	stageHist [NumStages]*bench.Histogram
@@ -172,16 +178,16 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	if slots <= 0 {
 		slots = defaultTraceSlots
 	}
-	n := 1
+	n := traceWays
 	for n < slots {
 		n <<= 1
 	}
 	t := &Tracer{
-		sample:   uint64(sample),
-		final:    cfg.Final,
-		base:     time.Now(),
-		slots:    make([]traceSlot, n),
-		slotMask: uint64(n - 1),
+		sample:     uint64(sample),
+		final:      cfg.Final,
+		base:       time.Now(),
+		slots:      make([]traceSlot, n),
+		bucketMask: uint64(n/traceWays - 1),
 	}
 	for i := range t.stageHist {
 		t.stageHist[i] = &bench.Histogram{}
@@ -230,6 +236,10 @@ func (t *Tracer) StampID(stage Stage, client, seq uint64) {
 	now := int64(time.Since(t.base))
 	s, fresh := t.claimSlot(h|1, now)
 	if s == nil {
+		if stage == t.final {
+			// The trace holds no slot here, so it can never fold.
+			t.dropped.Add(1)
+		}
 		return
 	}
 	if fresh {
@@ -246,39 +256,73 @@ func (t *Tracer) StampID(stage Stage, client, seq uint64) {
 	}
 }
 
+// bucket returns the ways the trace keyed by key may occupy.
+func (t *Tracer) bucket(key uint64) []traceSlot {
+	b := ((key >> 1) & t.bucketMask) * traceWays
+	return t.slots[b : b+traceWays : b+traceWays]
+}
+
+// findSlot returns the slot the trace keyed by key holds, or nil.
+func (t *Tracer) findSlot(key uint64) *traceSlot {
+	ways := t.bucket(key)
+	for i := range ways {
+		if ways[i].key.Load() == key {
+			return &ways[i]
+		}
+	}
+	return nil
+}
+
 // claimSlot finds or claims the in-flight slot for the trace keyed by
-// key (a nonzero id hash; 0 marks a free slot). fresh reports whether
-// this call claimed (or stole) the slot rather than matching an
-// existing claim; nil means the mapped slot is held by a live
-// different trace and the caller must drop its stamp.
+// key (a nonzero id hash; 0 marks a free slot) among the ways of its
+// bucket. fresh reports whether this call claimed (or stole) the slot
+// rather than matching an existing claim; nil means every way is held
+// by a live different trace and the caller must drop its stamp.
+//
+// Every claimer takes the lowest free way and rescans after losing a
+// race for it, so concurrent first stamps of one trace converge on one
+// slot. They can still split only if a lower way is freed between two
+// claimers' scans; the stray half then ages out like a lost command.
 func (t *Tracer) claimSlot(key uint64, now int64) (s *traceSlot, fresh bool) {
-	s = &t.slots[(key>>1)&t.slotMask]
+	ways := t.bucket(key)
+scan:
 	for {
-		k := s.key.Load()
-		if k == key {
+		if s := t.findSlot(key); s != nil {
 			return s, false
 		}
-		if k == 0 {
-			if s.key.CompareAndSwap(0, key) {
-				s.claim.Store(now)
-				t.sampled.Add(1)
-				return s, true
+		for i := range ways {
+			s := &ways[i]
+			if s.key.Load() != 0 {
+				continue
 			}
-			continue
+			if !s.key.CompareAndSwap(0, key) {
+				continue scan // lost the way: the winner may be this trace
+			}
+			s.claim.Store(now)
+			t.sampled.Add(1)
+			return s, true
 		}
-		// Occupied by a different trace. Steal the slot if its owner
-		// plainly never folded (lost command); otherwise drop this
-		// stamp — the collision counter surfaces undersized tables.
-		if now-s.claim.Load() > int64(slotEvictAfter) {
-			if s.key.CompareAndSwap(k, key) {
-				for i := range s.ts {
-					s.ts[i].Store(0)
-				}
-				s.claim.Store(now)
-				t.evicted.Add(1)
-				return s, true
+		// Every way is taken. Steal one whose owner plainly never
+		// folded (lost command); otherwise drop this stamp — the
+		// collision counter surfaces undersized tables.
+		for i := range ways {
+			s := &ways[i]
+			k := s.key.Load()
+			if k == 0 || k == key {
+				continue scan // the bucket changed under the scan
 			}
-			continue
+			if now-s.claim.Load() <= int64(slotEvictAfter) {
+				continue
+			}
+			if !s.key.CompareAndSwap(k, key) {
+				continue scan
+			}
+			for i := range s.ts {
+				s.ts[i].Store(0)
+			}
+			s.claim.Store(now)
+			t.evicted.Add(1)
+			return s, true
 		}
 		t.collisions.Add(1)
 		return nil, false
@@ -358,13 +402,25 @@ func (t *Tracer) SampleRate() uint64 {
 	return t.sample
 }
 
-// Counts reports how many traces were claimed, folded, dropped on
-// slot collision and reclaimed from abandoned slots.
+// Counts reports how many traces were claimed and folded, how many
+// stamps were dropped on slot collision, and how many abandoned slots
+// were reclaimed.
 func (t *Tracer) Counts() (sampled, folded, collisions, evicted uint64) {
 	if t == nil {
 		return 0, 0, 0, 0
 	}
 	return t.sampled.Load(), t.folded.Load(), t.collisions.Load(), t.evicted.Load()
+}
+
+// Dropped reports how many traces reached their final stage without a
+// slot, so they never fold here. Every trace whose final stage is
+// stamped either folds or is dropped (barring a slot stolen after
+// slotEvictAfter).
+func (t *Tracer) Dropped() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.dropped.Load()
 }
 
 // Recent returns the most recently folded traces, newest last.
@@ -400,5 +456,6 @@ func (t *Tracer) Register(r *Registry) {
 	r.FuncCounter("trace_folded_total", "", func() uint64 { return t.folded.Load() })
 	r.FuncCounter("trace_collisions_total", "", func() uint64 { return t.collisions.Load() })
 	r.FuncCounter("trace_evicted_total", "", func() uint64 { return t.evicted.Load() })
+	r.FuncCounter("trace_dropped_total", "", func() uint64 { return t.dropped.Load() })
 	r.FuncGauge("trace_sample_rate", "", func() float64 { return float64(t.sample) })
 }

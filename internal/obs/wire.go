@@ -141,9 +141,8 @@ func (t *Tracer) AppendTag(frame []byte, client, seq uint64) []byte {
 	if t.sample > 1 && h%t.sample != 0 {
 		return frame
 	}
-	key := h | 1
-	s := &t.slots[(h>>1)&t.slotMask]
-	if s.key.Load() != key {
+	s := t.findSlot(h | 1)
+	if s == nil {
 		return frame
 	}
 	origin := s.origin.Load()

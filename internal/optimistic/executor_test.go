@@ -92,8 +92,8 @@ func TestMissExecutesOnDecidedPath(t *testing.T) {
 	spec := []*command.Request{req(1, 1, kvstore.CmdUpdate, kvstore.EncodeKeyValue(3, val(111)))}
 	x.Speculate(spec)
 	missed := req(2, 1, kvstore.CmdUpdate, kvstore.EncodeKeyValue(3, val(222)))
-	x.Commit(spec)                             // hit
-	x.Commit([]*command.Request{missed})       // miss, after the hit
+	x.Commit(spec)                       // hit
+	x.Commit([]*command.Request{missed}) // miss, after the hit
 	c := x.Counters()
 	if c.Hits != 1 || c.Misses != 1 || c.Rollbacks != 0 {
 		t.Fatalf("counters = %+v, want 1 hit / 1 miss", c)

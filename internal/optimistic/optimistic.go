@@ -188,6 +188,9 @@ type Replica struct {
 	sinceSwap    int
 	held         []*command.Request
 
+	// replies interns decoded reply addresses (driver goroutine only).
+	replies command.Interner
+
 	journal   *obs.Journal
 	replicaID int
 	done      chan struct{}
@@ -365,7 +368,7 @@ func (r *Replica) drive() {
 		if b.Skip {
 			continue
 		}
-		if reqs := decodeBatch(b); len(reqs) > 0 {
+		if reqs := decodeBatch(b, &r.replies); len(reqs) > 0 {
 			r.executor.Commit(reqs)
 			if r.ckpt != nil {
 				// Coordinated checkpoint at the decided batch boundary:
@@ -389,7 +392,7 @@ func (r *Replica) speculate(b *paxos.Batch) {
 	if b.Skip {
 		return
 	}
-	reqs := decodeBatch(b)
+	reqs := decodeBatch(b, &r.replies)
 	if len(reqs) == 0 {
 		return
 	}
@@ -410,16 +413,18 @@ func (r *Replica) speculate(b *paxos.Batch) {
 	r.executor.Speculate(reqs)
 }
 
-// decodeBatch decodes a batch's items, skipping corrupt entries (the
-// same tolerance as the other delivery pumps).
-func decodeBatch(b *paxos.Batch) []*command.Request {
+// decodeBatch decodes a batch's items into one slab, skipping corrupt
+// entries (the same tolerance as the other delivery pumps). Slabs are
+// never recycled: the executor and engine keep the requests until they
+// are confirmed, and the GC frees the slab after its last one.
+func decodeBatch(b *paxos.Batch, replies *command.Interner) []*command.Request {
+	slab := make([]command.Request, len(b.Items))
 	reqs := make([]*command.Request, 0, len(b.Items))
-	for _, item := range b.Items {
-		req, _, err := command.DecodeRequest(item)
-		if err != nil {
+	for i, item := range b.Items {
+		if _, err := command.DecodeRequestInto(&slab[i], item, replies); err != nil {
 			continue
 		}
-		reqs = append(reqs, req)
+		reqs = append(reqs, &slab[i])
 	}
 	return reqs
 }

@@ -79,40 +79,61 @@ func WalkBatchItems(buf []byte, fn func(item []byte)) {
 // DecodeBatch parses a consensus value into a batch. Item slices alias
 // the input buffer.
 func DecodeBatch(buf []byte) (*Batch, error) {
+	b := new(Batch)
+	if err := decodeBatchInto(b, buf); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// decodeBatchInto parses a consensus value into b, reusing b.Items'
+// capacity, so a run loop that unpacks one batch at a time decodes
+// without allocating. Item slices alias buf. On error b holds no
+// meaningful value.
+func decodeBatchInto(b *Batch, buf []byte) error {
+	items := b.Items[:0]
+	*b = Batch{}
 	if len(buf) < 1 {
-		return nil, errBadBatch
+		return errBadBatch
 	}
 	switch buf[0] {
 	case batchKindSkip:
 		if len(buf) < 5 {
-			return nil, errBadBatch
+			return errBadBatch
 		}
 		slots := binary.LittleEndian.Uint32(buf[1:5])
 		if slots == 0 {
 			slots = 1
 		}
-		return &Batch{Skip: true, SkipSlots: slots}, nil
+		b.Skip, b.SkipSlots = true, slots
+		return nil
 	case batchKindNormal:
 		if len(buf) < 5 {
-			return nil, errBadBatch
+			return errBadBatch
 		}
 		count := int(binary.LittleEndian.Uint32(buf[1:5]))
 		rest := buf[5:]
-		items := make([][]byte, 0, count)
+		if count > len(rest)/4 {
+			return errBadBatch // more items than the value can hold
+		}
+		if items == nil {
+			items = make([][]byte, 0, count)
+		}
 		for i := 0; i < count; i++ {
 			if len(rest) < 4 {
-				return nil, errBadBatch
+				return errBadBatch
 			}
 			l := int(binary.LittleEndian.Uint32(rest[:4]))
 			rest = rest[4:]
 			if len(rest) < l {
-				return nil, errBadBatch
+				return errBadBatch
 			}
 			items = append(items, rest[:l:l])
 			rest = rest[l:]
 		}
-		return &Batch{Items: items}, nil
+		b.Items = items
+		return nil
 	default:
-		return nil, errBadBatch
+		return errBadBatch
 	}
 }

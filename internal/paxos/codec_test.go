@@ -204,3 +204,63 @@ func TestMsgTypeString(t *testing.T) {
 		t.Fatal("unknown type has empty string")
 	}
 }
+
+// TestAllocProposeFrame checks the proposer's exactly-sized frame: it
+// encodes exactly like the generic message encoder, its value window is
+// the frame's value field with no spare capacity, and ParsePropose
+// reads the value back.
+func TestAllocProposeFrame(t *testing.T) {
+	for _, value := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("payload"), 40)} {
+		frame, window := AllocProposeFrame(7, len(value))
+		if len(window) != len(value) || cap(window) != len(value) {
+			t.Fatalf("window len %d cap %d, want %d", len(window), cap(window), len(value))
+		}
+		copy(window, value)
+		want := encodeMessage(&message{Type: msgPropose, Group: 7, Value: value})
+		if !bytes.Equal(frame, want) || cap(frame) != len(frame) {
+			t.Fatalf("frame %x (cap %d), want %x", frame, cap(frame), want)
+		}
+		if !bytes.Equal(NewProposeFrame(7, value), want) {
+			t.Fatal("NewProposeFrame differs from the generic encoding")
+		}
+		group, got, ok := ParsePropose(frame)
+		if !ok || group != 7 || !bytes.Equal(got, value) {
+			t.Fatalf("ParsePropose = %d %q %v", group, got, ok)
+		}
+	}
+}
+
+// TestDecodeRejectsOversizedCounts feeds item and entry counts larger
+// than the frame could hold: the decoders must reject them instead of
+// sizing an allocation from the untrusted count.
+func TestDecodeRejectsOversizedCounts(t *testing.T) {
+	if _, err := DecodeBatch([]byte{batchKindNormal, 0xff, 0xff, 0xff, 0xff}); err == nil {
+		t.Fatal("batch claiming 2^32-1 items decoded")
+	}
+	frame := encodeMessage(&message{Type: msgPhase1b, Group: 1})
+	frame[len(frame)-4], frame[len(frame)-3], frame[len(frame)-2], frame[len(frame)-1] = 0xff, 0xff, 0xff, 0x7f
+	if _, err := decodeMessage(frame); err == nil {
+		t.Fatal("message claiming 2^31-1 entries decoded")
+	}
+}
+
+// TestDecodeBatchIntoReuse decodes different batches into one target:
+// nothing of an earlier decode may leak into a later one.
+func TestDecodeBatchIntoReuse(t *testing.T) {
+	var b Batch
+	if err := decodeBatchInto(&b, EncodeBatch(&Batch{Items: [][]byte{[]byte("a"), []byte("b")}})); err != nil {
+		t.Fatalf("batch decode: %v", err)
+	}
+	if err := decodeBatchInto(&b, EncodeBatch(&Batch{Skip: true, SkipSlots: 3})); err != nil {
+		t.Fatalf("skip decode: %v", err)
+	}
+	if !b.Skip || b.SkipSlots != 3 || len(b.Items) != 0 {
+		t.Fatalf("skip decode kept stale fields: %+v", b)
+	}
+	if err := decodeBatchInto(&b, EncodeBatch(&Batch{Items: [][]byte{[]byte("c")}})); err != nil {
+		t.Fatalf("batch re-decode: %v", err)
+	}
+	if b.Skip || len(b.Items) != 1 || string(b.Items[0]) != "c" {
+		t.Fatalf("batch re-decode: %+v", b)
+	}
+}

@@ -137,6 +137,10 @@ type Coordinator struct {
 	ep      transport.Endpoint
 	protoEP transport.Endpoint
 
+	// propBatch is the decode target of every proxy-sealed batch
+	// (run() only).
+	propBatch Batch
+
 	// Leadership state (goroutine-confined to run()).
 	leader         bool
 	preparing      bool
@@ -438,8 +442,8 @@ func (c *Coordinator) handleProposeBatch(m *message) {
 		_ = c.cfg.Transport.Send(target, encodeMessage(&fwd))
 		return
 	}
-	b, err := DecodeBatch(m.Value)
-	if err != nil || b.Skip {
+	b := &c.propBatch
+	if err := decodeBatchInto(b, m.Value); err != nil || b.Skip {
 		return
 	}
 	c.inFrames.Add(1)
@@ -447,6 +451,7 @@ func (c *Coordinator) handleProposeBatch(m *message) {
 	for _, item := range b.Items {
 		c.admit(item)
 	}
+	clear(b.Items) // the items alias the frame: do not keep it alive
 }
 
 // admit buffers one proposal value into the current batch, flushing on
@@ -474,7 +479,10 @@ func (c *Coordinator) flush() {
 	// One merge slot per command (not per batch): slot accounting must
 	// match the receivers' command-granular merge.
 	c.slotsSinceTick += uint32(len(c.curItems))
-	c.curItems = nil
+	// EncodeBatch copied the items: reuse the slice, dropping the
+	// references so flushed frames are not kept alive.
+	clear(c.curItems)
+	c.curItems = c.curItems[:0]
 	c.curBytes = 0
 	c.flushTimer.Stop()
 	c.proposeValue(value)
@@ -831,13 +839,3 @@ func (c *Coordinator) handlePhase1b(m *message) {
 }
 
 func (c *Coordinator) quorum() int { return len(c.cfg.Acceptors)/2 + 1 }
-
-// NewProposeFrame builds the frame a proposer (the multicast sender)
-// sends to a coordinator candidate to order one value in a group.
-func NewProposeFrame(group uint32, value []byte) []byte {
-	return encodeMessage(&message{
-		Type:  msgPropose,
-		Group: group,
-		Value: value,
-	})
-}

@@ -162,6 +162,30 @@ func NewOptimisticFrame(group uint32, ballot Ballot, optSeq uint64, value []byte
 	})
 }
 
+// NewProposeFrame builds the frame a proposer (the multicast sender)
+// sends to a coordinator candidate to order one value in a group.
+func NewProposeFrame(group uint32, value []byte) []byte {
+	frame, v := AllocProposeFrame(group, len(value))
+	copy(v, value)
+	return frame
+}
+
+// AllocProposeFrame allocates an exactly-sized Propose frame for a
+// value of n bytes in one allocation and returns it together with the
+// value window inside it (len == cap == n). A proposer encodes its
+// value straight into the window instead of encoding it elsewhere and
+// copying it in.
+func AllocProposeFrame(group uint32, n int) (frame, value []byte) {
+	const header = 36 + 4 // fixed message header, addrLen 0, value length
+	frame = make([]byte, header+n+4)
+	frame[0] = byte(msgPropose)
+	binary.LittleEndian.PutUint32(frame[1:5], group)
+	binary.LittleEndian.PutUint32(frame[36:40], uint32(n))
+	// Ballot, instances, acceptor, flags, the address length and the
+	// trailing entry count are all zero.
+	return frame, frame[header : header+n : header+n]
+}
+
 // ParsePropose reads the group id and proposal value out of a Propose
 // frame without allocating; the value aliases the frame. It is the
 // proxy tier's admission parser: a proxy classifies each client frame
@@ -288,6 +312,9 @@ func decodeMessage(frame []byte) (*message, error) {
 	rest = rest[valLen:]
 	entryCount := int(binary.LittleEndian.Uint32(rest[:4]))
 	rest = rest[4:]
+	if entryCount > len(rest)/20 {
+		return nil, errBadMessage // more entries than the frame can hold
+	}
 	if entryCount > 0 {
 		m.Entries = make([]acceptedEntry, 0, entryCount)
 		for i := 0; i < entryCount; i++ {

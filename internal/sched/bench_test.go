@@ -153,10 +153,16 @@ func benchAdmitKeyed(b *testing.B, kind SchedulerKind, workers, batch int) {
 	defer e.Close()
 
 	// Requests are pre-built and mutated in place between fully-drained
-	// bursts: the engines hold them only until execution, which the
-	// drain spin waits out. The scan engine takes ownership of each
-	// SubmitBatch slice, so it gets a fresh header per burst; the index
-	// engine does not retain the slice.
+	// bursts, so the drain must outlast every read the engine makes of
+	// them. The index engine's drain waits for completion (waitDrained):
+	// execution alone is not enough, because the command's response and
+	// completion bookkeeping run after Execute returns. The scan engine
+	// exposes no completion signal; its drain waits for execution, which
+	// is safe because everything it does after Execute uses the id it
+	// captured at admission (and the unchanged, empty Reply). The scan
+	// engine takes ownership of each SubmitBatch slice, so it gets a
+	// fresh header per burst; the index engine does not retain the
+	// slice.
 	reqs := make([]*command.Request, burstLen)
 	for j := range reqs {
 		reqs[j] = &command.Request{Cmd: cmdWrite, Input: make([]byte, 16)}
@@ -190,6 +196,7 @@ func benchAdmitKeyed(b *testing.B, kind SchedulerKind, workers, batch int) {
 		for svc.n.Load() < done {
 			runtime.Gosched()
 		}
+		waitDrained(e)
 	}
 	// Warm-up: grow the pools, the rings and the dedup tables to their
 	// steady-state footprint before the meter starts.
@@ -202,6 +209,28 @@ func benchAdmitKeyed(b *testing.B, kind SchedulerKind, workers, batch int) {
 		burst()
 	}
 	b.StopTimer()
+}
+
+// waitDrained spins until an index engine has completed every command
+// it has executed: a queue's load counts each command until its
+// completion bookkeeping is done, and once every admitted command has
+// executed no steal can move load between queues mid-count. Other
+// engines return at once.
+func waitDrained(e Engine) {
+	s, ok := e.(*IndexScheduler)
+	if !ok {
+		return
+	}
+	for {
+		var load int64
+		for _, q := range s.queues {
+			load += q.load.Load()
+		}
+		if load == 0 {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 func BenchmarkAdmitKeyedScan(b *testing.B)       { benchAdmitKeyed(b, KindScan, 8, 1) }

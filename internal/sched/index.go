@@ -36,6 +36,7 @@ import (
 //     key shard is locked once per burst and every target worker's
 //     ingress deque is pushed once per burst, instead of once per
 //     command.
+//
 //   - Same-key write chains land on one worker's FIFO while any of
 //     them is live, so they execute in admission order. Same-key
 //     READ-ONLY commands (cdep.Route.ReadOnly) instead join a per-key
@@ -45,19 +46,23 @@ import (
 //     since the previous writer to drain — the same reader concurrency
 //     the scan engine's live-set tracking provides, without a
 //     scheduler thread.
+//
 //   - Keys with no live commands are (re)assigned to the least-loaded
 //     worker (ties break to the lowest worker id), which is what
 //     balances skewed workloads.
+//
 //   - An idle worker steals a bounded batch of non-keyed work from the
 //     longest ingress queue. Keyed chains never migrate (the per-key
 //     FIFO is the conflict order) and nothing is taken at or past a
 //     pending barrier or multi-key token, so stealing cannot reorder
 //     dependent commands.
+//
 //   - Global (barrier) commands are enqueued on every worker's queue;
 //     workers rendezvous at the token, the compiled set's minimum
 //     member executes alone, then releases the rest — exactly the
 //     paper's "wait for the worker threads to finish their ongoing
 //     work" semantics.
+//
 //   - MULTI-KEY commands (cdep.RouteMultiKey) acquire every touched
 //     key like a 2PL lock point over the per-key FIFOs: admission
 //     places the command as the new last writer of every key (in
@@ -266,6 +271,8 @@ func (q *ingress) pop() *inode {
 // on their channels), and token inodes recycle only in handoff mode.
 type inode struct {
 	req    *command.Request
+	client uint64 // req's id, captured at admission (see bind)
+	seq    uint64
 	marker func()        // quiesce marker closure (barrier tokens only)
 	bar    *indexBarrier // non-nil for barrier tokens
 	mk     *mkToken      // non-nil for multi-key tokens
@@ -277,10 +284,10 @@ type inode struct {
 	set    command.Gamma // compiled worker set (admission scratch)
 	worker int           // target queue (admission scratch)
 
-	waitW  *gate          // readers, and writers behind a pending token: completion gate to wait
-	waitWs []*gate        // multi-key readers: one writer gate per live key
+	waitW  gate           // readers, and writers behind a pending token: completion gate to wait
+	waitWs []gate         // multi-key readers: one writer gate per live key
 	waitR  *readerGroup   // writers: reader set admitted since the previous writer
-	gate   *gate          // writers: closed on completion
+	gate   gate           // writers: closed on completion
 	grp    *readerGroup   // readers: group to leave on completion
 	grps   []*readerGroup // multi-key readers: group per key, parallel to mkeys
 }
@@ -308,15 +315,15 @@ type mkToken struct {
 	release  chan struct{} // park mode: closed by the executor after running
 
 	waitRs []*readerGroup // sealed reader sets of the touched keys
-	waitWs []*gate        // completion gates of predecessor multi-key tokens
+	waitWs []gate         // completion gates of predecessor multi-key tokens
 }
 
 // gate is a writer's completion latch; successors admitted while the
 // writer is live wait on it before executing. It is allocated lazily —
 // only when a successor actually needs it — so write-only chains pay
-// nothing for it. Gates are never pooled: waiters hold the pointer
+// nothing for it. Gates are never pooled: waiters hold the channel
 // past the owner's recycling, and a closed channel cannot be re-armed.
-type gate struct{ ch chan struct{} }
+type gate chan struct{}
 
 // readerGroup counts the live readers admitted between two writers of
 // one key. The next writer seals the group at admission (allocating
@@ -444,6 +451,14 @@ func StartIndex(cfg Config) (*IndexScheduler, error) {
 	return s, nil
 }
 
+// bind attaches req to n and captures its id. The request stays the
+// caller's: the engine reads it to execute and answer the command, but
+// the stamps and at-most-once bookkeeping that follow Execute use the
+// captured id, so completion never re-reads caller-owned memory.
+func (n *inode) bind(req *command.Request) {
+	n.req, n.client, n.seq = req, req.Client, req.Seq
+}
+
 // getInode returns a pooled plain inode (fields zeroed at put).
 func (s *IndexScheduler) getInode() *inode {
 	if v := s.ipool.Get(); v != nil {
@@ -458,7 +473,7 @@ func (s *IndexScheduler) getInode() *inode {
 // gate pointer, never the inode itself. Barrier and multi-key token
 // inodes are never recycled here.
 func (s *IndexScheduler) putInode(n *inode) {
-	n.req = nil
+	n.req, n.client, n.seq = nil, 0, 0
 	n.keyed, n.reader = false, false
 	n.key, n.set, n.worker = 0, 0, 0
 	n.mkeys = n.mkeys[:0]
@@ -473,7 +488,7 @@ func (s *IndexScheduler) putInode(n *inode) {
 func (s *IndexScheduler) getMK() *inode {
 	if v := s.mkpool.Get(); v != nil {
 		n := v.(*inode)
-		n.gate = &gate{ch: make(chan struct{})}
+		n.gate = make(gate)
 		return n
 	}
 	mk := &mkToken{}
@@ -482,7 +497,7 @@ func (s *IndexScheduler) getMK() *inode {
 	return &inode{
 		keyed: true, // never stealable, never counted as free
 		mk:    mk,
-		gate:  &gate{ch: make(chan struct{})},
+		gate:  make(gate),
 	}
 }
 
@@ -498,7 +513,7 @@ func (s *IndexScheduler) putMK(n *inode) {
 	mk.owners = mk.owners[:0]
 	mk.waitRs = mk.waitRs[:0]
 	mk.waitWs = mk.waitWs[:0]
-	n.req = nil
+	n.req, n.client, n.seq = nil, 0, 0
 	n.gate = nil
 	n.waitW = nil
 	n.worker = 0
@@ -586,12 +601,14 @@ func (s *IndexScheduler) SubmitBatch(reqs []*command.Request) bool {
 			}
 		case cdep.RouteKeyed:
 			n := s.getInode()
-			n.req, n.keyed, n.key, n.set = req, true, key, route.Workers
+			n.bind(req)
+			n.keyed, n.key, n.set = true, key, route.Workers
 			n.reader = route.ReadOnly && !s.cfg.NoReaderSets
 			s.bufferKeyed(n)
 		default:
 			n := s.getInode()
-			n.req, n.set = req, route.Workers
+			n.bind(req)
+			n.set = route.Workers
 			s.free = append(s.free, n)
 		}
 	}
@@ -752,7 +769,7 @@ func (s *IndexScheduler) placeKeyedLocked(ks *keyShard, n *inode) {
 			// Rendezvous with the live write chain: latch onto the last
 			// writer's completion gate, allocating it on first use.
 			if w.gate == nil {
-				w.gate = &gate{ch: make(chan struct{})}
+				w.gate = make(gate)
 			}
 			n.waitW = w.gate
 		}
@@ -816,13 +833,13 @@ func (s *IndexScheduler) admitBarrier(req *command.Request, route cdep.Route) {
 		executor = 0
 	}
 	n := &inode{
-		req: req,
 		bar: &indexBarrier{
 			executor: executor,
 			arrive:   make(chan struct{}, len(s.queues)),
 			release:  make(chan struct{}),
 		},
 	}
+	n.bind(req)
 	s.token[0] = n
 	for _, q := range s.queues {
 		q.pushBatch(s.token[:])
@@ -838,7 +855,7 @@ func (s *IndexScheduler) admitBarrier(req *command.Request, route cdep.Route) {
 // token's inline buffer).
 func (s *IndexScheduler) admitMultiKey(req *command.Request, route cdep.Route, keys []uint64) {
 	n := s.getMK()
-	n.req = req
+	n.bind(req)
 	mk := n.mk
 	mk.keys = append(mk.keys[:0], keys...)
 	for _, key := range mk.keys {
@@ -924,7 +941,7 @@ func (s *IndexScheduler) admitMultiKey(req *command.Request, route cdep.Route, k
 // inode's buffer).
 func (s *IndexScheduler) admitMultiKeyRead(req *command.Request, route cdep.Route, keys []uint64) {
 	n := s.getInode()
-	n.req = req
+	n.bind(req)
 	n.keyed = true // never stealable, never counted as free
 	n.reader = true
 	n.mkeys = append(n.mkeys[:0], keys...)
@@ -942,7 +959,7 @@ func (s *IndexScheduler) admitMultiKeyRead(req *command.Request, route cdep.Rout
 			// the gate on first use (multi-key writer tokens pre-allocate
 			// theirs; see admitMultiKey).
 			if w.gate == nil {
-				w.gate = &gate{ch: make(chan struct{})}
+				w.gate = make(gate)
 			}
 			n.waitWs = append(n.waitWs, w.gate)
 		}
@@ -1162,14 +1179,14 @@ func (s *IndexScheduler) steal(w int, sc *stealScratch) []*inode {
 func (s *IndexScheduler) execute(n *inode, cpu *bench.RoleMeter) bool {
 	if n.waitW != nil {
 		select {
-		case <-n.waitW.ch:
+		case <-n.waitW:
 		case <-s.stop:
 			return false
 		}
 	}
 	for _, g := range n.waitWs {
 		select {
-		case <-g.ch:
+		case <-g:
 		case <-s.stop:
 			return false
 		}
@@ -1188,9 +1205,9 @@ func (s *IndexScheduler) execute(n *inode, cpu *bench.RoleMeter) bool {
 	if cpu != nil {
 		start = time.Now()
 	}
-	s.cfg.Trace.StampID(obs.StageExecStart, n.req.Client, n.req.Seq)
+	s.cfg.Trace.StampID(obs.StageExecStart, n.client, n.seq)
 	output := s.exec(n.req)
-	s.cfg.Trace.StampID(obs.StageExecEnd, n.req.Client, n.req.Seq)
+	s.cfg.Trace.StampID(obs.StageExecEnd, n.client, n.seq)
 	s.respond(n.req, output)
 	if cpu != nil {
 		cpu.Add(time.Since(start))
@@ -1210,7 +1227,7 @@ func (s *IndexScheduler) executeMulti(n *inode, cpu *bench.RoleMeter) bool {
 	mk := n.mk
 	for _, g := range mk.waitWs {
 		select {
-		case <-g.ch:
+		case <-g:
 		case <-s.stop:
 			return false
 		}
@@ -1229,9 +1246,9 @@ func (s *IndexScheduler) executeMulti(n *inode, cpu *bench.RoleMeter) bool {
 	if cpu != nil {
 		start = time.Now()
 	}
-	s.cfg.Trace.StampID(obs.StageExecStart, n.req.Client, n.req.Seq)
+	s.cfg.Trace.StampID(obs.StageExecStart, n.client, n.seq)
 	output := s.exec(n.req)
-	s.cfg.Trace.StampID(obs.StageExecEnd, n.req.Client, n.req.Seq)
+	s.cfg.Trace.StampID(obs.StageExecEnd, n.client, n.seq)
 	s.respond(n.req, output)
 	if cpu != nil {
 		cpu.Add(time.Since(start))
@@ -1281,9 +1298,9 @@ func (s *IndexScheduler) rendezvous(w int, n *inode, cpu *bench.RoleMeter) bool 
 		close(n.bar.release)
 		return true
 	}
-	s.cfg.Trace.StampID(obs.StageExecStart, n.req.Client, n.req.Seq)
+	s.cfg.Trace.StampID(obs.StageExecStart, n.client, n.seq)
 	output := s.exec(n.req)
-	s.cfg.Trace.StampID(obs.StageExecEnd, n.req.Client, n.req.Seq)
+	s.cfg.Trace.StampID(obs.StageExecEnd, n.client, n.seq)
 	s.respond(n.req, output)
 	if cpu != nil {
 		cpu.Add(time.Since(start))
@@ -1331,7 +1348,7 @@ func (s *IndexScheduler) rendezvousMulti(w int, n *inode, cpu *bench.RoleMeter) 
 		// for every predecessor), but waiting keeps the two protocols
 		// structurally identical.
 		select {
-		case <-g.ch:
+		case <-g:
 		case <-s.stop:
 			return false
 		}
@@ -1349,9 +1366,9 @@ func (s *IndexScheduler) rendezvousMulti(w int, n *inode, cpu *bench.RoleMeter) 
 	if cpu != nil {
 		start = time.Now()
 	}
-	s.cfg.Trace.StampID(obs.StageExecStart, n.req.Client, n.req.Seq)
+	s.cfg.Trace.StampID(obs.StageExecStart, n.client, n.seq)
 	output := s.exec(n.req)
-	s.cfg.Trace.StampID(obs.StageExecEnd, n.req.Client, n.req.Seq)
+	s.cfg.Trace.StampID(obs.StageExecEnd, n.client, n.seq)
 	s.respond(n.req, output)
 	if cpu != nil {
 		cpu.Add(time.Since(start))
@@ -1363,14 +1380,14 @@ func (s *IndexScheduler) rendezvousMulti(w int, n *inode, cpu *bench.RoleMeter) 
 
 // recordDone records a completed request in the at-most-once layer
 // (skipped entirely under an external execution hook).
-func (s *IndexScheduler) recordDone(req *command.Request, output []byte) {
+func (s *IndexScheduler) recordDone(client, seq uint64, output []byte) {
 	if s.cfg.Exec != nil {
 		return
 	}
-	cs := s.clientShard(req.Client)
+	cs := s.clientShard(client)
 	cs.mu.Lock()
-	cs.table.Record(req.Client, req.Seq, output)
-	delete(cs.inflight, requestID{client: req.Client, seq: req.Seq})
+	cs.table.Record(client, seq, output)
+	delete(cs.inflight, requestID{client: client, seq: seq})
 	cs.mu.Unlock()
 }
 
@@ -1380,7 +1397,7 @@ func (s *IndexScheduler) recordDone(req *command.Request, output []byte) {
 // touched key may be parked on. The token inode itself is recycled by
 // the caller (handoff mode only).
 func (s *IndexScheduler) completeMulti(n *inode, output []byte) {
-	s.recordDone(n.req, output)
+	s.recordDone(n.client, n.seq, output)
 	for _, key := range n.mk.keys {
 		ks := s.keyShard(key)
 		ks.mu.Lock()
@@ -1405,14 +1422,14 @@ func (s *IndexScheduler) completeMulti(n *inode, output []byte) {
 	// The gate was pre-allocated at admission; any successor that
 	// latched on did so under its key's shard lock, before the
 	// lastWriter clearing above.
-	close(n.gate.ch)
+	close(n.gate)
 }
 
 // complete records the response for at-most-once, closes the command's
 // writer gate (if a successor latched one on), releases it from the
 // conflict index, and recycles the inode.
 func (s *IndexScheduler) complete(n *inode, output []byte) {
-	s.recordDone(n.req, output)
+	s.recordDone(n.client, n.seq, output)
 	if !n.keyed {
 		if n.bar == nil {
 			s.putInode(n)
@@ -1473,13 +1490,13 @@ func (s *IndexScheduler) complete(n *inode, output []byte) {
 	}
 	// n.gate is written by successor admissions under this shard's
 	// lock; read it under the same lock, close it after.
-	var g *gate
+	var g gate
 	if !n.reader {
 		g = n.gate
 	}
 	ks.mu.Unlock()
 	if g != nil {
-		close(g.ch)
+		close(g)
 	}
 	s.putInode(n)
 }

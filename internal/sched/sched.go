@@ -96,6 +96,13 @@ func (k SchedulerKind) String() string {
 // cross-path admission order (the delivery pumps always use exactly
 // one path, selected by Tuning.NoBatchAdmit).
 //
+// Admitted requests stay the caller's: an engine reads a request until
+// it has executed and answered the command, and the trace stamps and
+// at-most-once bookkeeping after Execute use the request id captured
+// at admission. A caller may reuse a request once its command has
+// completed; the delivery pumps never reuse them (they decode each
+// decided batch into a fresh slab).
+//
 // SubmitMarker admits a QUIESCE MARKER: fn runs exactly once, with
 // every worker thread rendezvoused at the marker — all commands
 // admitted before it have completed, none admitted after it has
@@ -255,6 +262,8 @@ type admission struct {
 // marker when marker is non-nil — req is nil then).
 type node struct {
 	req        *command.Request
+	client     uint64 // req's id, captured at admission: the stamps and
+	seq        uint64 // release bookkeeping after Execute never re-read req
 	marker     func()
 	waitCount  int
 	dependents []*node
@@ -421,8 +430,8 @@ func (s *Scheduler) schedule() {
 	release := func(n *node) {
 		delete(live, n)
 		if n.req != nil && s.cfg.Exec == nil {
-			delete(inflight, requestID{client: n.req.Client, seq: n.req.Seq})
-			table.Record(n.req.Client, n.req.Seq, n.output)
+			delete(inflight, requestID{client: n.client, seq: n.seq})
+			table.Record(n.client, n.seq, n.output)
 		}
 		if lastBarrier == n {
 			lastBarrier = nil
@@ -464,7 +473,7 @@ func (s *Scheduler) schedule() {
 			}
 			inflight[id] = struct{}{}
 		}
-		n := &node{req: req}
+		n := &node{req: req, client: req.Client, seq: req.Seq}
 		addDep := func(dep *node) {
 			if dep == nil {
 				return
@@ -696,9 +705,9 @@ func (s *Scheduler) work() {
 			// the service at one deterministic log position.
 			n.marker()
 		} else {
-			s.cfg.Trace.StampID(obs.StageExecStart, n.req.Client, n.req.Seq)
+			s.cfg.Trace.StampID(obs.StageExecStart, n.client, n.seq)
 			n.output = s.exec(n.req)
-			s.cfg.Trace.StampID(obs.StageExecEnd, n.req.Client, n.req.Seq)
+			s.cfg.Trace.StampID(obs.StageExecEnd, n.client, n.seq)
 			s.respond(n.req, n.output)
 		}
 		cpu.Add(time.Since(t0))

@@ -33,14 +33,13 @@ func key(input []byte) (uint64, bool) {
 }
 
 // xferKeys reads the two keys of a transfer input ([k1][k2][seq]).
-func xferKeys(input []byte) ([]uint64, bool) {
+func xferKeys(dst []uint64, input []byte) ([]uint64, bool) {
 	if len(input) < 16 {
-		return nil, false
+		return dst, false
 	}
-	return []uint64{
+	return append(dst,
 		binary.LittleEndian.Uint64(input),
-		binary.LittleEndian.Uint64(input[8:16]),
-	}, true
+		binary.LittleEndian.Uint64(input[8:16])), true
 }
 
 func spec() cdep.Spec {

@@ -239,6 +239,7 @@ func (r *Replica) Close() error {
 func (r *Replica) deliver() {
 	defer close(r.done)
 	cursor := r.learner.NewCursor()
+	var replies command.Interner
 	for {
 		batch, instance, ok := cursor.Next()
 		if !ok {
@@ -247,10 +248,14 @@ func (r *Replica) deliver() {
 		if batch.Skip {
 			continue
 		}
+		// One slab per decided batch: the engine keeps each request
+		// until the command completes, so slabs are never recycled —
+		// the GC frees a slab once its last command is done.
+		slab := make([]command.Request, len(batch.Items))
 		if r.perCmd {
-			for _, item := range batch.Items {
-				req, _, err := command.DecodeRequest(item)
-				if err != nil {
+			for i, item := range batch.Items {
+				req := &slab[i]
+				if _, err := command.DecodeRequestInto(req, item, &replies); err != nil {
 					continue
 				}
 				if !r.scheduler.Submit(req) {
@@ -260,9 +265,9 @@ func (r *Replica) deliver() {
 			continue
 		}
 		reqs := make([]*command.Request, 0, len(batch.Items))
-		for _, item := range batch.Items {
-			req, _, err := command.DecodeRequest(item)
-			if err != nil {
+		for i, item := range batch.Items {
+			req := &slab[i]
+			if _, err := command.DecodeRequestInto(req, item, &replies); err != nil {
 				continue
 			}
 			reqs = append(reqs, req)

@@ -7,9 +7,15 @@ import "sync"
 // other through bounded channels. The consumer side is exposed as a
 // channel fed by a pump goroutine so that receivers can select over it.
 type frameQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	frames [][]byte
+	mu   sync.Mutex
+	cond *sync.Cond
+	// ring holds the queued frames: n of them starting at head, in a
+	// power-of-two buffer that doubles when full. Unlike a slice that
+	// slides forward as it is consumed, the ring reuses its slots, so a
+	// steady stream allocates nothing.
+	ring   [][]byte
+	head   int
+	n      int
 	closed bool
 
 	out  chan []byte
@@ -37,9 +43,31 @@ func (q *frameQueue) push(frame []byte) bool {
 	if q.closed {
 		return false
 	}
-	q.frames = append(q.frames, frame)
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = frame
+	q.n++
 	q.cond.Signal()
 	return true
+}
+
+// queueInitCap is the ring's first size; queueShrinkCap is the size
+// above which a drained ring is released, so a burst does not pin its
+// peak buffer forever.
+const (
+	queueInitCap   = 64
+	queueShrinkCap = 1024
+)
+
+// grow doubles the ring (or allocates the first one), unwrapping the
+// queued frames to the front of the new buffer.
+func (q *frameQueue) grow() {
+	ring := make([][]byte, max(queueInitCap, 2*len(q.ring)))
+	for i := 0; i < q.n; i++ {
+		ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	}
+	q.ring, q.head = ring, 0
 }
 
 // close stops the queue, discards pending frames, closes the output
@@ -61,20 +89,22 @@ func (q *frameQueue) pump() {
 	defer close(q.out)
 	for {
 		q.mu.Lock()
-		for len(q.frames) == 0 && !q.closed {
+		for q.n == 0 && !q.closed {
 			q.cond.Wait()
 		}
 		if q.closed {
 			q.mu.Unlock()
 			return
 		}
-		frame := q.frames[0]
-		q.frames[0] = nil
-		q.frames = q.frames[1:]
-		// Release the backing array once drained so a burst does not
-		// pin memory forever.
-		if len(q.frames) == 0 && cap(q.frames) > 1024 {
-			q.frames = nil
+		frame := q.ring[q.head]
+		q.ring[q.head] = nil
+		q.head = (q.head + 1) & (len(q.ring) - 1)
+		q.n--
+		if q.n == 0 {
+			q.head = 0
+			if len(q.ring) > queueShrinkCap {
+				q.ring = nil
+			}
 		}
 		q.mu.Unlock()
 
