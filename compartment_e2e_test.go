@@ -355,7 +355,7 @@ func TestSubsetGroupsTransferConvergence(t *testing.T) {
 // fingerprint plain direct-submission sP-SMR reaches, with and without
 // speculation riding on top. Runs under `make race`.
 func TestCompartmentDeterminismVsDirect(t *testing.T) {
-	want, _ := runOptimisticWorkload(t, psmr.SchedIndex, false, 0, false)
+	want, _ := runOptimisticWorkload(t, psmr.SchedIndex, false, 0)
 
 	variants := []struct {
 		name       string
@@ -369,7 +369,7 @@ func TestCompartmentDeterminismVsDirect(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			got, counters := runOptimisticWorkload(t, psmr.SchedIndex, v.optimistic, 0, false, v.mutate)
+			got, counters := runOptimisticWorkload(t, psmr.SchedIndex, v.optimistic, 0, v.mutate)
 			if got != want {
 				t.Fatalf("%s fingerprint %x != direct sP-SMR %x", v.name, got, want)
 			}

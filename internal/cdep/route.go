@@ -31,14 +31,12 @@ const (
 	// RouteMultiKey commands serialize against same-key commands over a
 	// key SET: one token is enqueued on every worker owning one of
 	// their keys' conflict chains (keys claimed in sorted order — a
-	// 2PL-style lock point). The index engine's default discipline is
+	// 2PL-style lock point). The index engine runs it
 	// deposit-and-continue: each owner marks its arrival and keeps
 	// draining unrelated queued work, and the LAST depositor executes,
 	// so unlike RouteBarrier no worker stalls on the token at all;
 	// same-key successors wait on the token's completion gates
-	// instead. (The parking rendezvous — owners idle until the last
-	// arrival, lowest-id owner executes — survives behind sched's
-	// Tuning.NoMKHandoff as the ablation baseline.)
+	// instead.
 	RouteMultiKey
 )
 

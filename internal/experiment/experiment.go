@@ -80,8 +80,8 @@ type KVSetup struct {
 	// Scheduler selects the scheduling engine on the sP-SMR and no-rep
 	// paths (scan reproduces the paper's bottleneck; index removes it).
 	Scheduler psmr.SchedulerKind
-	// Tuning switches the batch-first pipeline optimisations off for
-	// ablation (batched admission, reader sets, work stealing).
+	// Tuning switches the pipeline optimisations off for ablation
+	// (reader sets, work stealing).
 	Tuning psmr.SchedTuning
 	// Optimistic enables optimistic (speculative) execution on the
 	// sP-SMR path; the result's Extra map then carries the measured
@@ -90,10 +90,6 @@ type KVSetup struct {
 	// OptimisticReorder is the optimistic-stream perturbation knob
 	// (swap every Nth optimistic batch), for rollback-path ablations.
 	OptimisticReorder int
-	// ReSpeculate re-admits rollback collateral as fresh speculations
-	// (requires Optimistic); the result's Extra map then carries the
-	// re-speculation counter.
-	ReSpeculate bool
 	// CheckpointInterval enables coordinated checkpoints every N
 	// decided commands (0 = off); the result's Extra map then carries
 	// checkpoint count, quiesce-pause and snapshot-size columns.
@@ -203,25 +199,24 @@ func RunKV(setup KVSetup) (*bench.Result, error) {
 			mode = psmr.ModeSMR
 		}
 		cluster, err := psmr.StartCluster(psmr.Config{
-			Mode:                  mode,
-			Workers:               setup.Threads,
-			Replicas:              2,
-			NewService:            newStore,
-			Spec:                  spec,
-			Placement:             setup.Placement,
-			Scheduler:             setup.Scheduler,
-			SchedTuning:           setup.Tuning,
-			Optimistic:            setup.Optimistic,
-			OptimisticReorder:     setup.OptimisticReorder,
-			OptimisticReSpeculate: setup.ReSpeculate,
-			Checkpoint:            psmr.CheckpointConfig{Interval: setup.CheckpointInterval},
-			Proxies:               setup.Proxies,
-			ProxyBatch:            setup.ProxyBatch,
-			ProxyDelay:            setup.ProxyDelay,
-			FanoutDegree:          setup.Fanout,
-			CPU:                   cpu,
-			TraceSample:           setup.TraceSample,
-			JournalEvents:         journalEvents(setup.JournalOff),
+			Mode:              mode,
+			Workers:           setup.Threads,
+			Replicas:          2,
+			NewService:        newStore,
+			Spec:              spec,
+			Placement:         setup.Placement,
+			Scheduler:         setup.Scheduler,
+			SchedTuning:       setup.Tuning,
+			Optimistic:        setup.Optimistic,
+			OptimisticReorder: setup.OptimisticReorder,
+			Checkpoint:        psmr.CheckpointConfig{Interval: setup.CheckpointInterval},
+			Proxies:           setup.Proxies,
+			ProxyBatch:        setup.ProxyBatch,
+			ProxyDelay:        setup.ProxyDelay,
+			FanoutDegree:      setup.Fanout,
+			CPU:               cpu,
+			TraceSample:       setup.TraceSample,
+			JournalEvents:     journalEvents(setup.JournalOff),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("start %v cluster: %w", setup.Technique, err)
@@ -319,9 +314,6 @@ func RunKV(setup KVSetup) (*bench.Result, error) {
 	if setup.Optimistic {
 		tech += "+opt"
 	}
-	if setup.ReSpeculate {
-		tech += "+respec"
-	}
 	if setup.TagTuning {
 		tech += " " + setup.Tuning.Label()
 	}
@@ -375,7 +367,6 @@ func RunKV(setup KVSetup) (*bench.Result, error) {
 			"opt_rolled_back":  float64(agg.RolledBack),
 			"opt_max_rb_depth": float64(agg.MaxRollbackDepth),
 			"opt_ghosts":       float64(agg.GhostEvictions),
-			"opt_respecs":      float64(agg.ReSpeculations),
 		} {
 			res.Extra[k] = v
 		}

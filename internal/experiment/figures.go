@@ -218,57 +218,24 @@ func SchedAblationSetups(scale Scale, threads int) []KVSetup {
 	}
 }
 
-// AdmitAblationSetups returns the batch-first admission ablation:
-// sP-SMR on the index engine under the 50/50 read/update kvstore
-// workload, sweeping single-vs-batch admission × reader sets on/off ×
-// work stealing on/off. Reads exercise the reader sets (the workload
-// has no independent commands, so stealing only matters when the other
-// knobs skew queues); the all-on row is the production pipeline, the
-// all-off row is the pre-batch engine.
+// AdmitAblationSetups returns the admission ablation: sP-SMR on the
+// index engine under the 50/50 read/update kvstore workload, sweeping
+// reader sets on/off × work stealing on/off. Reads exercise the reader
+// sets (the workload has no independent commands, so stealing only
+// matters when the other knob skews queues); the all-on row is the
+// production pipeline.
 func AdmitAblationSetups(scale Scale, threads int) []KVSetup {
 	var setups []KVSetup
-	for _, single := range []bool{true, false} {
-		for _, nors := range []bool{true, false} {
-			for _, nosteal := range []bool{true, false} {
-				setup := scale.kvSetup(SPSMR, threads)
-				setup.Gen = workload.KVReadUpdate
-				setup.Scheduler = psmr.SchedIndex
-				setup.Tuning = psmr.SchedTuning{
-					NoBatchAdmit: single,
-					NoReaderSets: nors,
-					NoSteal:      nosteal,
-				}
-				setup.TagTuning = true
-				setups = append(setups, setup)
-			}
-		}
-	}
-	return setups
-}
-
-// SchedFastAblationSetups returns the scheduler raw-speed ablation:
-// sP-SMR on the index engine under all-write workloads with 0/10/50%
-// two-key transfers, sweeping the multi-key owner protocol — parked
-// rendezvous (Tuning.NoMKHandoff, the pre-handoff engine) vs
-// deposit-and-continue handoff (default). At each token the park rows
-// idle every owner but the executor; the handoff rows keep those
-// owners draining unrelated keyed work, which is where the raw-speed
-// tier's throughput claim lives. The 0% column is the control: with no
-// multi-key commands the two protocols must be statistically
-// indistinguishable.
-func SchedFastAblationSetups(scale Scale, threads int) []KVSetup {
-	var setups []KVSetup
-	for _, park := range []bool{true, false} {
-		for _, pct := range []float64{0, 10, 50} {
-			p := pct
+	for _, nors := range []bool{true, false} {
+		for _, nosteal := range []bool{true, false} {
 			setup := scale.kvSetup(SPSMR, threads)
-			setup.Gen = func(keys workload.KeyGen) workload.Generator {
-				return workload.KVTransferShare(keys, p)
-			}
+			setup.Gen = workload.KVReadUpdate
 			setup.Scheduler = psmr.SchedIndex
-			setup.Tuning = psmr.SchedTuning{NoMKHandoff: park}
+			setup.Tuning = psmr.SchedTuning{
+				NoReaderSets: nors,
+				NoSteal:      nosteal,
+			}
 			setup.TagTuning = true
-			setup.Tag = fmt.Sprintf("xfer=%g%%", p)
 			setups = append(setups, setup)
 		}
 	}
@@ -291,8 +258,9 @@ func BarrierTransferSpec() cdep.Spec {
 // C-G treatment of the two-key transfer (barrier baseline vs key-set
 // routing) across both scheduling engines. The barrier rows reproduce
 // the synchronous-mode serialization a single-key C-G forces on
-// multi-object commands; the multikey rows measure the owner-
-// rendezvous fast path that replaces it.
+// multi-object commands; the multikey rows measure the key-set fast
+// path that replaces it (on the index engine, the deposit-and-continue
+// handoff over the touched keys' owners).
 func MultiKeyAblationSetups(scale Scale, threads int) []KVSetup {
 	barrierSpec := BarrierTransferSpec()
 	var setups []KVSetup
@@ -346,38 +314,28 @@ func OptimisticAblationSetups(scale Scale, threads int) []KVSetup {
 // RollbackAblationSetups returns the rollback-model ablation: sP-SMR
 // under collision-mix workloads (0/10/50% hot-set two-key transfers)
 // with speculation off (the decided-path baseline every speculative
-// row must beat), speculation on with forced optimistic/decided
+// row must beat) and speculation on with forced optimistic/decided
 // reordering (every rollback goes through the mvstore epoch-abort
-// path — O(touched keys), not O(state) clone-replay), and the same
-// plus re-speculation (rollback collateral re-admitted against the
-// repaired state). The rows report hit-rate, rollback and
-// re-speculation counters in Result.Extra; psmr-bench additionally
-// writes them to BENCH_rollback.json. The netfs side of the rollback
-// story — abort cost flat in store size — is the root
-// BenchmarkRollbackDepth microbench, which a throughput sweep cannot
-// show.
+// path — O(touched keys), not O(state) clone-replay). The speculative
+// rows report hit-rate and rollback counters in Result.Extra;
+// psmr-bench additionally writes them to BENCH_rollback.json. The
+// netfs side of the rollback story — abort cost flat in store size —
+// is the root BenchmarkRollbackDepth microbench, which a throughput
+// sweep cannot show.
 func RollbackAblationSetups(scale Scale, threads int) []KVSetup {
-	rows := []struct {
-		opt     bool
-		reorder int
-		reSpec  bool
-	}{
-		{opt: false},
-		{opt: true, reorder: 2},
-		{opt: true, reorder: 2, reSpec: true},
-	}
 	var setups []KVSetup
 	for _, collision := range []float64{0, 10, 50} {
-		for _, row := range rows {
+		for _, opt := range []bool{false, true} {
 			pct := collision
 			setup := scale.kvSetup(SPSMR, threads)
 			setup.Gen = func(keys workload.KeyGen) workload.Generator {
 				return workload.KVCollisionMix(keys, pct)
 			}
 			setup.Scheduler = psmr.SchedIndex
-			setup.Optimistic = row.opt
-			setup.OptimisticReorder = row.reorder
-			setup.ReSpeculate = row.reSpec
+			setup.Optimistic = opt
+			if opt {
+				setup.OptimisticReorder = 2
+			}
 			setup.Tag = fmt.Sprintf("col=%g%%", pct)
 			setups = append(setups, setup)
 		}

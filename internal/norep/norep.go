@@ -41,8 +41,8 @@ type ServerConfig struct {
 	// opportunistically: whatever is queued on the endpoint goes down
 	// in one engine call.
 	AdmitBatch int
-	// Tuning carries the batch-first pipeline knobs; the zero value
-	// enables batched admission, reader sets and work stealing.
+	// Tuning carries the pipeline knobs; the zero value enables
+	// reader sets, work stealing and the admission yield.
 	Tuning sched.Tuning
 	// CPU optionally meters scheduler and worker busy time.
 	CPU *bench.CPUMeter
@@ -53,7 +53,6 @@ type Server struct {
 	ep         transport.Endpoint
 	scheduler  sched.Engine
 	admitBatch int
-	perCmd     bool
 	yieldEvery int // admission yield period; 0 disables
 	done       chan struct{}
 }
@@ -100,7 +99,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		ep:         ep,
 		scheduler:  scheduler,
 		admitBatch: cfg.AdmitBatch,
-		perCmd:     cfg.Tuning.NoBatchAdmit,
 		yieldEvery: yieldEvery,
 		done:       make(chan struct{}),
 	}
@@ -144,17 +142,6 @@ func (s *Server) serve() {
 		}
 	}
 	for frame := range recv {
-		if s.perCmd {
-			req, _, err := command.DecodeRequest(frame)
-			if err != nil {
-				continue
-			}
-			if !s.scheduler.Submit(req) {
-				return
-			}
-			maybeYield(1)
-			continue
-		}
 		reqs := make([]*command.Request, 0, s.admitBatch)
 		if req, _, err := command.DecodeRequest(frame); err == nil {
 			reqs = append(reqs, req)

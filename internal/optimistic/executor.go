@@ -51,15 +51,6 @@ type ExecutorConfig struct {
 	// bound only trades hit rate against how long a ghost's effects may
 	// stay visible to speculation. Default 4096.
 	GhostEvictAfter int
-	// ReSpeculate re-admits commands withdrawn by a rollback as fresh
-	// speculations against the repaired state, instead of leaving them
-	// to execute as decided-path misses. With O(touched-keys) aborts a
-	// withdrawn command's decision usually has NOT arrived yet (the
-	// rollback was triggered by a DIFFERENT command's decide), so there
-	// is still time to win the race again. Ghost evictions never
-	// re-speculate: a ghost was withdrawn for not being decided, and
-	// re-admitting it would undo the eviction forever.
-	ReSpeculate bool
 	// CPU optionally meters the executor's roles.
 	CPU *bench.CPUMeter
 	// Trace optionally stamps sampled commands at the
@@ -129,11 +120,6 @@ type Executor struct {
 	doneInLog int      // confirmed entries still in log (compaction)
 	byID      map[requestID]*entry
 
-	// pendingReSpec holds rollback-withdrawn requests awaiting
-	// re-admission; flushed (engine submission) only after x.mu is
-	// released, like every other admission path.
-	pendingReSpec []*command.Request
-
 	// Key-indexed speculation window: executed-but-unconfirmed entries
 	// bucketed by canonical key, plus the "wild" list of entries that
 	// conflict regardless of keys (Global class or undeterminable key
@@ -159,7 +145,6 @@ type Executor struct {
 	rolledBack   atomic.Uint64
 	maxDepth     atomic.Uint64
 	ghostEvicted atomic.Uint64
-	reSpeculated atomic.Uint64
 }
 
 // Counters is a snapshot of the executor's speculation statistics.
@@ -186,9 +171,6 @@ type Counters struct {
 	// preempted leader's proposals) and conflicted with nothing that
 	// would have rolled them back sooner.
 	GhostEvictions uint64
-	// ReSpeculations counts rollback-withdrawn commands re-admitted as
-	// fresh speculations against the repaired state (ReSpeculate on).
-	ReSpeculations uint64
 }
 
 // Add folds another snapshot into c (aggregation across replicas):
@@ -200,7 +182,6 @@ func (c *Counters) Add(o Counters) {
 	c.Rollbacks += o.Rollbacks
 	c.RolledBack += o.RolledBack
 	c.GhostEvictions += o.GhostEvictions
-	c.ReSpeculations += o.ReSpeculations
 	if o.MaxRollbackDepth > c.MaxRollbackDepth {
 		c.MaxRollbackDepth = o.MaxRollbackDepth
 	}
@@ -219,8 +200,8 @@ func (c Counters) HitRate() float64 {
 }
 
 func (c Counters) String() string {
-	return fmt.Sprintf("hit-rate %.1f%% (%d/%d), rollbacks %d (depth sum %d, max %d), ghosts evicted %d, re-speculated %d",
-		100*c.HitRate(), c.Hits, c.Decided(), c.Rollbacks, c.RolledBack, c.MaxRollbackDepth, c.GhostEvictions, c.ReSpeculations)
+	return fmt.Sprintf("hit-rate %.1f%% (%d/%d), rollbacks %d (depth sum %d, max %d), ghosts evicted %d",
+		100*c.HitRate(), c.Hits, c.Decided(), c.Rollbacks, c.RolledBack, c.MaxRollbackDepth, c.GhostEvictions)
 }
 
 // StartExecutor launches the engine and the speculation bookkeeping.
@@ -293,7 +274,6 @@ func (x *Executor) Counters() Counters {
 		RolledBack:       x.rolledBack.Load(),
 		MaxRollbackDepth: x.maxDepth.Load(),
 		GhostEvictions:   x.ghostEvicted.Load(),
-		ReSpeculations:   x.reSpeculated.Load(),
 	}
 }
 
@@ -556,10 +536,6 @@ func (x *Executor) commitOne(req *command.Request) {
 	x.rollbackLocked(e, req)
 	x.mu.Unlock()
 	x.reconCPU.Add(time.Since(t0))
-	// Re-admit the rollback's collateral withdrawals (outside x.mu: the
-	// engine submission could block on a full queue while its workers
-	// wait on the executor lock).
-	x.flushReSpec()
 }
 
 // rollbackLocked withdraws the minimal conflicting suffix and
@@ -616,18 +592,6 @@ func (x *Executor) rollbackLocked(e *entry, req *command.Request) {
 	}
 
 	x.withdrawLocked(tainted, taintedSet)
-
-	// Queue the collateral withdrawals (everything tainted except the
-	// decided command itself, which confirms right below) for
-	// re-speculation against the repaired state: their own decisions
-	// have not arrived, so a fresh speculation can still win.
-	if x.cfg.ReSpeculate {
-		for _, o := range tainted {
-			if o != e && !o.committed {
-				x.pendingReSpec = append(x.pendingReSpec, o.req)
-			}
-		}
-	}
 
 	// Re-execute e in final order — at the committed epoch, on a
 	// drained engine, so its writes apply directly — and confirm it.
@@ -784,41 +748,6 @@ func (x *Executor) ConfirmedSnapshot() ([]byte, bool) {
 		return nil, false
 	}
 	return snap.Snapshot(), true
-}
-
-// flushReSpec re-admits rollback-withdrawn commands as fresh
-// speculations (fresh entries, fresh epochs) against the repaired
-// state. Runs on the driver goroutine with x.mu NOT held at engine
-// submission, exactly like Speculate. A command whose decision arrived
-// while it sat in the queue is dropped by the dedup checks and simply
-// stays a miss.
-func (x *Executor) flushReSpec() {
-	x.mu.Lock()
-	pending := x.pendingReSpec
-	x.pendingReSpec = nil
-	var admit []*command.Request
-	for _, req := range pending {
-		id := requestID{client: req.Client, seq: req.Seq}
-		if _, dup := x.byID[id]; dup {
-			continue
-		}
-		if _, dup := x.confirmed.Lookup(req.Client, req.Seq); dup {
-			continue
-		}
-		if len(x.byID) >= x.cfg.MaxSpeculations {
-			break
-		}
-		e := x.newEntry(req, false)
-		x.byID[id] = e
-		x.admitted++
-		admit = append(admit, e.engineReq)
-	}
-	x.mu.Unlock()
-	if len(admit) == 0 {
-		return
-	}
-	x.reSpeculated.Add(uint64(len(admit)))
-	x.engine.SubmitBatch(admit)
 }
 
 // confirmLocked marks an executed entry order-confirmed: it leaves the

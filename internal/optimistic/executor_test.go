@@ -464,57 +464,6 @@ func TestGhostEvictionDropsAllVersions(t *testing.T) {
 	}
 }
 
-// With ReSpeculate on, a command withdrawn as rollback COLLATERAL
-// (its own decision had not arrived) is re-admitted as a fresh
-// speculation against the repaired state and confirms as a HIT when
-// its decision does arrive — instead of degrading to a decided-path
-// miss.
-func TestReSpeculationTurnsCollateralIntoHit(t *testing.T) {
-	st := kvstore.New()
-	st.Preload(64)
-	compiled, err := cdep.Compile(kvstore.Spec(), 2)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	net := transport.NewMemNetwork(1)
-	t.Cleanup(func() { _ = net.Close() })
-	x, err := StartExecutor(ExecutorConfig{
-		Workers:     2,
-		Service:     st,
-		Compiled:    compiled,
-		Transport:   net,
-		Scheduler:   sched.KindIndex,
-		ReSpeculate: true,
-	})
-	if err != nil {
-		t.Fatalf("StartExecutor: %v", err)
-	}
-	t.Cleanup(func() { _ = x.Close() })
-
-	a := req(1, 1, kvstore.CmdUpdate, kvstore.EncodeKeyValue(5, val(111)))
-	b := req(2, 1, kvstore.CmdUpdate, kvstore.EncodeKeyValue(5, val(222)))
-	// Speculate a before b; decide b before a. Reconciling b rolls a
-	// back as collateral; ReSpeculate re-admits a against the repaired
-	// state, so a's own decide finds a fresh valid speculation.
-	x.Speculate([]*command.Request{a})
-	x.Speculate([]*command.Request{b})
-	x.Commit([]*command.Request{b, a})
-	c := x.Counters()
-	if c.Rollbacks != 1 || c.ReSpeculations != 1 {
-		t.Fatalf("counters = %+v, want 1 rollback and 1 re-speculation", c)
-	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("counters = %+v, want the re-speculated command to confirm as the only hit", c)
-	}
-	// Final order b then a: key 5 ends at a's value.
-	if got := readKey(t, st, 5); got != 111 {
-		t.Fatalf("key 5 = %d, want 111 (decided order b,a)", got)
-	}
-	if n := st.Uncommitted(); n != 0 {
-		t.Fatalf("%d uncommitted versions remain after full confirmation", n)
-	}
-}
-
 // ConfirmedSnapshot must capture ONLY order-confirmed state: an
 // unconfirmed speculation's effects are uncommitted versions the
 // snapshot never reads — the speculation window survives intact and

@@ -28,11 +28,7 @@
 // uncommitted versions, confirmation commits the epoch (pointer flip
 // into the committed tip) and rollback aborts it (version drop). Both
 // resolutions cost O(keys the command touched) — no per-command undo
-// records, no whole-state clone-and-replay. Because a withdrawn
-// command's versions vanish without touching anything else, commands
-// rolled back as rollback collateral can immediately RE-SPECULATE
-// against the repaired state (the ReSpeculate knob) instead of waiting
-// to execute as decided-path misses.
+// records, no whole-state clone-and-replay.
 //
 // # Reconciliation and the safety argument
 //
@@ -67,9 +63,7 @@
 //     rolls exactly those back (reverse execution order; non-tainted
 //     entries commute with every tainted one, so they may stay), then
 //     re-executes c in final order. Withdrawn speculations re-execute
-//     when their own decisions arrive — or, with ReSpeculate, are
-//     immediately re-admitted as fresh speculations against the
-//     repaired state.
+//     when their own decisions arrive.
 //
 // Speculation never escapes: replies are withheld until the speculated
 // command is order-confirmed (hit or re-execution), so a client can
@@ -145,9 +139,6 @@ type ReplicaConfig struct {
 	// many decided commands passed it by (see ExecutorConfig).
 	// Default 4096.
 	GhostEvictAfter int
-	// ReSpeculate re-admits rollback-withdrawn commands as fresh
-	// speculations against the repaired state (see ExecutorConfig).
-	ReSpeculate bool
 	// ReorderEvery, when positive, swaps every Nth optimistic batch
 	// with its successor before speculating — a test/ablation knob that
 	// forces optimistic/decided divergence, which a single stable
@@ -241,7 +232,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		DedupWindow:     cfg.DedupWindow,
 		MaxSpeculations: cfg.MaxSpeculations,
 		GhostEvictAfter: cfg.GhostEvictAfter,
-		ReSpeculate:     cfg.ReSpeculate,
 		CPU:             cfg.CPU,
 		Trace:           cfg.Trace,
 		Journal:         cfg.Journal,

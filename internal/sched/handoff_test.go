@@ -51,8 +51,8 @@ const (
 	handoffFreeKey = 100 // unrelated keys: handoffFreeKey+j
 )
 
-// benchMultiKeyHandoff measures the cost the parking rendezvous charges
-// an owner for unrelated work queued behind a multi-key token. Each
+// BenchmarkMultiKeyHandoff measures how an owner's unrelated work
+// queued behind a multi-key token overlaps with the token's wait. Each
 // iteration, fully drained before the next:
 //
 //   - M writes on the slow key S (pinned to worker 0) — the backlog
@@ -61,14 +61,11 @@ const (
 //   - W writes on W distinct unrelated keys pinned to worker 1,
 //     admitted AFTER the token.
 //
-// Under the parking rendezvous worker 1 pops the token immediately and
-// parks through worker 0's entire backlog, so the unrelated work only
-// starts after the transfer: ~(M+1+W)·sleep serialized. Under the
-// handoff worker 1 deposits and keeps draining, overlapping the
-// unrelated work with the backlog: ~max(M+1, W)·sleep. With M = W = 16
-// the model ratio is ~1.9x; the speedup test below asserts >= 1.5x.
-func benchMultiKeyHandoff(b *testing.B, park bool) {
-	b.Helper()
+// Worker 1 pops the token, deposits and keeps draining, overlapping
+// the unrelated work with worker 0's backlog: ~max(M+1, W)·sleep per
+// round. An owner that parked at the token instead would serialize
+// ~(M+1+W)·sleep.
+func BenchmarkMultiKeyHandoff(b *testing.B) {
 	const (
 		workers   = 8
 		backlogM  = 16
@@ -91,7 +88,6 @@ func benchMultiKeyHandoff(b *testing.B, park bool) {
 		Service:   svc,
 		Compiled:  compiled,
 		Transport: net,
-		Tuning:    Tuning{NoMKHandoff: park},
 	})
 	if err != nil {
 		b.Fatalf("StartIndex: %v", err)
@@ -132,48 +128,6 @@ func benchMultiKeyHandoff(b *testing.B, park bool) {
 		}
 	}
 	b.StopTimer()
-}
-
-// BenchmarkMultiKeyHandoff is the deposit-and-continue protocol;
-// BenchmarkMultiKeyHandoffPark is the parking-rendezvous baseline on
-// the identical workload (Tuning.NoMKHandoff).
-func BenchmarkMultiKeyHandoff(b *testing.B)     { benchMultiKeyHandoff(b, false) }
-func BenchmarkMultiKeyHandoffPark(b *testing.B) { benchMultiKeyHandoff(b, true) }
-
-// TestMultiKeyHandoffSpeedup pins the perf claim: with owners loaded
-// with unrelated work at 8 workers, the handoff must beat the parking
-// rendezvous by at least 1.5x (the model predicts ~1.9x; 1.5x leaves
-// slack for noisy CI boxes).
-func TestMultiKeyHandoffSpeedup(t *testing.T) {
-	if benchRaceEnabled {
-		t.Skip("timing ratios are meaningless under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("timing test skipped in -short")
-	}
-	best := func(bench func(*testing.B)) float64 {
-		bestNs := 0.0
-		for i := 0; i < 3; i++ {
-			r := testing.Benchmark(bench)
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if ns > 0 && (bestNs == 0 || ns < bestNs) {
-				bestNs = ns
-			}
-		}
-		return bestNs
-	}
-	// Best-of-three per variant: noise on a loaded CI box only ever
-	// slows a run down, so minima compare the real costs.
-	park := best(BenchmarkMultiKeyHandoffPark)
-	handoff := best(BenchmarkMultiKeyHandoff)
-	if park <= 0 || handoff <= 0 {
-		t.Fatalf("degenerate timings: park %v ns/round, handoff %v ns/round", park, handoff)
-	}
-	ratio := park / handoff
-	t.Logf("multi-key round: park %.0f ns, handoff %.0f ns, speedup %.2fx", park, handoff, ratio)
-	if ratio < 1.5 {
-		t.Fatalf("handoff speedup %.2fx over parking rendezvous, want >= 1.5x", ratio)
-	}
 }
 
 // handoffProbeService blocks writes to the slow key until released and
@@ -217,7 +171,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // to worker 0 and everything else pinned to worker 1, submits a write
 // that blocks inside the service on worker 0, then a transfer token
 // {slow, fast} and ten unrelated writes for worker 1.
-func startHandoffProbe(t *testing.T, park bool) (*IndexScheduler, *handoffProbeService) {
+func startHandoffProbe(t *testing.T) (*IndexScheduler, *handoffProbeService) {
 	t.Helper()
 	net := transport.NewMemNetwork(1)
 	pins := map[uint64]int{handoffSlowKey: 0, handoffFastKey: 1}
@@ -231,7 +185,6 @@ func startHandoffProbe(t *testing.T, park bool) (*IndexScheduler, *handoffProbeS
 	svc := &handoffProbeService{release: make(chan struct{})}
 	s, err := StartIndex(Config{
 		Workers: 2, Service: svc, Compiled: compiled, Transport: net,
-		Tuning: Tuning{NoMKHandoff: park},
 	})
 	if err != nil {
 		t.Fatalf("StartIndex: %v", err)
@@ -260,7 +213,7 @@ func startHandoffProbe(t *testing.T, park bool) (*IndexScheduler, *handoffProbeS
 // unrelated keyed work queued behind the token — then the release
 // makes the last owner execute the transfer.
 func TestHandoffOwnersKeepDraining(t *testing.T) {
-	_, svc := startHandoffProbe(t, false)
+	_, svc := startHandoffProbe(t)
 	waitCond(t, "unrelated work to drain past the pending token", func() bool {
 		return svc.unrelated.Load() == 10
 	})
@@ -270,23 +223,6 @@ func TestHandoffOwnersKeepDraining(t *testing.T) {
 	close(svc.release)
 	waitCond(t, "transfer to execute after the deposit", func() bool {
 		return svc.xfers.Load() == 1
-	})
-}
-
-// TestParkRendezvousIdlesOwner is the baseline contrast: under
-// Tuning.NoMKHandoff the fast-key owner parks at the token, so the
-// unrelated work behind it cannot start until the transfer executes.
-func TestParkRendezvousIdlesOwner(t *testing.T) {
-	_, svc := startHandoffProbe(t, true)
-	// Direction-of-time assertion: give the engine ample opportunity to
-	// (wrongly) run the unrelated work, then check it did not.
-	time.Sleep(30 * time.Millisecond)
-	if got := svc.unrelated.Load(); got != 0 {
-		t.Fatalf("parked owner executed %d unrelated commands past a pending token", got)
-	}
-	close(svc.release)
-	waitCond(t, "everything to drain after the release", func() bool {
-		return svc.xfers.Load() == 1 && svc.unrelated.Load() == 10
 	})
 }
 

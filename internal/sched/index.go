@@ -67,9 +67,9 @@ import (
 //     key like a 2PL lock point over the per-key FIFOs: admission
 //     places the command as the new last writer of every key (in
 //     sorted-key order) and enqueues ONE token on every distinct owner
-//     queue. The default protocol is a deposit-and-continue handoff:
-//     the token carries an atomic countdown initialized to the number
-//     of distinct owners, and an owner popping the token DEPOSITS
+//     queue, then runs a deposit-and-continue handoff: the token
+//     carries an atomic countdown initialized to the number of
+//     distinct owners, and an owner popping the token DEPOSITS
 //     (decrements) and keeps draining the unrelated work queued behind
 //     it — no owner parks. The LAST depositor becomes the executor: it
 //     waits for the touched keys' sealed reader sets and for the
@@ -86,18 +86,16 @@ import (
 //     waits latched at admission. Every LATER same-key command — the
 //     next writer, readers, successor tokens — latches this token's
 //     completion gate at admission and cannot start before it closes.
-//     The last deposit is therefore exactly the 2PL lock point the
-//     parking rendezvous implemented, and the serialization order is
-//     identical: same command set, same per-key order, one execution.
+//     The last deposit is therefore exactly the 2PL lock point of an
+//     owner rendezvous, without idling the N−1 earlier owners: same
+//     command set, same per-key order, one execution.
 //     (b) No deadlock: tokens are fully enqueued under the serialized
 //     admission path before admission continues, so they appear on all
 //     queues in ONE global admission order, and every wait edge (FIFO
 //     predecessor, writer gate, sealed reader group, predecessor token
 //     gate) points to an earlier-admitted command — the wait graph is
-//     acyclic. (c) The parking rendezvous is retained behind
-//     Tuning.NoMKHandoff as the ablation baseline; the two modes are
-//     byte-identical on any input stream (asserted by the root
-//     determinism e2e).
+//     acyclic. (c) The outcome is byte-identical to the scan engine's
+//     on any input stream (asserted by the root determinism e2e).
 //
 // The admission and completion hot paths are allocation-free at steady
 // state (asserted by TestAdmitKeyedIndexBatchZeroAlloc): inodes,
@@ -134,8 +132,7 @@ type IndexScheduler struct {
 
 	// Object pools backing zero-alloc admission. ipool holds plain
 	// inodes (keyed, free, multi-key readers); mkpool holds multi-key
-	// token inodes (recycled in handoff mode only); gpool holds reader
-	// groups.
+	// token inodes; gpool holds reader groups.
 	ipool  sync.Pool
 	mkpool sync.Pool
 	gpool  sync.Pool
@@ -268,7 +265,7 @@ func (q *ingress) pop() *inode {
 // inode is one admitted command (or one worker's view of a barrier or
 // multi-key token). Plain inodes are pooled and recycled at
 // completion; barrier inodes are not (parked workers may still select
-// on their channels), and token inodes recycle only in handoff mode.
+// on their channels); multi-key token inodes recycle through mkpool.
 type inode struct {
 	req    *command.Request
 	client uint64 // req's id, captured at admission (see bind)
@@ -309,10 +306,6 @@ type mkToken struct {
 	// before the token is enqueued; each owner deposits by decrementing
 	// at pop, and the owner that reaches zero executes.
 	pending atomic.Int32
-
-	executor int           // park mode: owners[0] executes
-	arrive   chan struct{} // park mode: owners signal "drained up to the token"
-	release  chan struct{} // park mode: closed by the executor after running
 
 	waitRs []*readerGroup // sealed reader sets of the touched keys
 	waitWs []gate         // completion gates of predecessor multi-key tokens
@@ -501,12 +494,10 @@ func (s *IndexScheduler) getMK() *inode {
 	}
 }
 
-// putMK recycles a completed multi-key token — handoff mode only: a
-// park-mode token's released owners may still be selecting on
-// mk.release, so park-mode tokens are left to the GC. In handoff mode
-// no owner retains the inode past its deposit (the countdown is the
-// only cross-owner state), and completeMulti cleared the conflict
-// index under the shard locks before this call.
+// putMK recycles a completed multi-key token: no owner retains the
+// inode past its deposit (the countdown is the only cross-owner
+// state), and completeMulti cleared the conflict index under the shard
+// locks before this call.
 func (s *IndexScheduler) putMK(n *inode) {
 	mk := n.mk
 	mk.keys = mk.keys[:0]
@@ -752,9 +743,9 @@ func (s *IndexScheduler) addToWorker(n *inode) {
 // order) and wait for the reader set admitted since the previous
 // writer. Readers are routed independently and wait only for the last
 // admitted writer's completion gate. A successor admitted behind a
-// multi-key token additionally latches the token's completion gate:
-// under the handoff protocol a popped token may still be pending, so
-// FIFO position alone no longer implies the token completed. Every
+// multi-key token additionally latches the token's completion gate: a
+// popped token may still be pending, so FIFO position alone does not
+// imply the token completed. Every
 // wait edge points to an earlier-admitted command and every queue is
 // FIFO in admission order, so the wait graph is acyclic — no deadlock.
 func (s *IndexScheduler) placeKeyedLocked(ks *keyShard, n *inode) {
@@ -801,8 +792,8 @@ func (s *IndexScheduler) placeKeyedLocked(ks *keyShard, n *inode) {
 	}
 	if w := e.lastWriter; w != nil && w.mk != nil {
 		// The predecessor is a multi-key token, which may still be
-		// pending when this writer reaches the queue head (handoff
-		// mode): wait its completion gate explicitly.
+		// pending when this writer reaches the queue head: wait its
+		// completion gate explicitly.
 		n.waitW = w.gate
 	}
 	e.worker = n.worker
@@ -912,15 +903,8 @@ func (s *IndexScheduler) admitMultiKey(req *command.Request, route cdep.Route, k
 			mk.owners[j], mk.owners[j-1] = mk.owners[j-1], mk.owners[j]
 		}
 	}
-	mk.executor = mk.owners[0]
-	if s.cfg.NoMKHandoff {
-		mk.arrive = make(chan struct{}, len(mk.owners))
-		mk.release = make(chan struct{})
-	} else {
-		// The countdown must be armed before any owner can pop the
-		// token.
-		mk.pending.Store(int32(len(mk.owners)))
-	}
+	// The countdown must be armed before any owner can pop the token.
+	mk.pending.Store(int32(len(mk.owners)))
 	s.token[0] = n
 	for _, w := range mk.owners {
 		s.pendingLen[w] = 0
@@ -929,10 +913,10 @@ func (s *IndexScheduler) admitMultiKey(req *command.Request, route cdep.Route, k
 }
 
 // admitMultiKeyRead admits one read-only multi-key command (a snapshot
-// read over a key set): instead of the owner rendezvous it behaves like
-// a reader of EVERY touched key — it latches onto each key's last
-// writer's completion gate and joins each key's reader group, then runs
-// on its own least-loaded worker. No owner parks: the next writer of
+// read over a key set): instead of a token on every owner queue it
+// behaves like a reader of EVERY touched key — it latches onto each
+// key's last writer's completion gate and joins each key's reader
+// group, then runs on its own least-loaded worker. The next writer of
 // any touched key waits for the sealed reader groups exactly as it
 // waits for single-key readers. Every wait edge (the keys' last
 // writers) points to an earlier-admitted command, so the wait graph
@@ -1061,11 +1045,7 @@ func (s *IndexScheduler) work(w int) {
 			if r := q.raided.Load(); r > 0 {
 				q.raided.Store(r / 2)
 			}
-			if s.cfg.NoMKHandoff {
-				if !s.rendezvousMulti(w, n, cpu) {
-					return
-				}
-			} else if n.mk.pending.Add(-1) == 0 {
+			if n.mk.pending.Add(-1) == 0 {
 				// Last depositor: every owner reached its token, so the
 				// key set is claimed — execute here.
 				s.cfg.Journal.Emit(obs.EvSchedHandoff, uint64(w), uint64(len(n.mk.keys)))
@@ -1216,13 +1196,13 @@ func (s *IndexScheduler) execute(n *inode, cpu *bench.RoleMeter) bool {
 	return true
 }
 
-// executeMulti runs one multi-key token as its last-depositing owner
-// (handoff mode). Every owner has deposited, so per-key FIFO order
-// guarantees all earlier single-key commands of every touched key have
-// completed; predecessor multi-key tokens (popped but possibly still
-// pending) are waited out via their completion gates, and the sealed
-// reader sets of the touched keys via their done channels. It reports
-// false when the engine is stopping.
+// executeMulti runs one multi-key token as its last-depositing owner.
+// Every owner has deposited, so per-key FIFO order guarantees all
+// earlier single-key commands of every touched key have completed;
+// predecessor multi-key tokens (popped but possibly still pending) are
+// waited out via their completion gates, and the sealed reader sets of
+// the touched keys via their done channels. It reports false when the
+// engine is stopping.
 func (s *IndexScheduler) executeMulti(n *inode, cpu *bench.RoleMeter) bool {
 	mk := n.mk
 	for _, g := range mk.waitWs {
@@ -1310,74 +1290,6 @@ func (s *IndexScheduler) rendezvous(w int, n *inode, cpu *bench.RoleMeter) bool 
 	return true
 }
 
-// rendezvousMulti runs one multi-key token under the parking protocol
-// (Tuning.NoMKHandoff — the ablation baseline the handoff is measured
-// against): the executor (the lowest-id owner) waits for the other
-// owners to drain up to their tokens and park, waits out the sealed
-// reader sets, executes the command once, then releases the parked
-// owners. Per-key FIFO order guarantees every earlier writer of every
-// touched key completed before its owner reached the token, so the
-// rendezvous is exactly the same 2PL lock point as the handoff's last
-// deposit — at the cost of idling every non-executor owner for the
-// command's full duration. It reports false when the engine is
-// stopping.
-func (s *IndexScheduler) rendezvousMulti(w int, n *inode, cpu *bench.RoleMeter) bool {
-	mk := n.mk
-	if w != mk.executor {
-		select {
-		case mk.arrive <- struct{}{}:
-		case <-s.stop:
-			return false
-		}
-		select {
-		case <-mk.release:
-			return true
-		case <-s.stop:
-			return false
-		}
-	}
-	for i := 1; i < len(mk.owners); i++ {
-		select {
-		case <-mk.arrive:
-		case <-s.stop:
-			return false
-		}
-	}
-	for _, g := range mk.waitWs {
-		// Closed by construction in park mode (popped implies completed
-		// for every predecessor), but waiting keeps the two protocols
-		// structurally identical.
-		select {
-		case <-g:
-		case <-s.stop:
-			return false
-		}
-	}
-	for _, g := range mk.waitRs {
-		select {
-		case <-g.done:
-		case <-s.stop:
-			return false
-		}
-		s.putGroup(g)
-	}
-	mk.waitRs = mk.waitRs[:0]
-	var start time.Time
-	if cpu != nil {
-		start = time.Now()
-	}
-	s.cfg.Trace.StampID(obs.StageExecStart, n.client, n.seq)
-	output := s.exec(n.req)
-	s.cfg.Trace.StampID(obs.StageExecEnd, n.client, n.seq)
-	s.respond(n.req, output)
-	if cpu != nil {
-		cpu.Add(time.Since(start))
-	}
-	s.completeMulti(n, output)
-	close(mk.release)
-	return true
-}
-
 // recordDone records a completed request in the at-most-once layer
 // (skipped entirely under an external execution hook).
 func (s *IndexScheduler) recordDone(client, seq uint64, output []byte) {
@@ -1395,7 +1307,7 @@ func (s *IndexScheduler) recordDone(client, seq uint64, output []byte) {
 // per-key conflict-index cleanup (in the same sorted-key order as
 // admission), and the completion-gate close that successors of any
 // touched key may be parked on. The token inode itself is recycled by
-// the caller (handoff mode only).
+// the caller.
 func (s *IndexScheduler) completeMulti(n *inode, output []byte) {
 	s.recordDone(n.client, n.seq, output)
 	for _, key := range n.mk.keys {

@@ -27,11 +27,9 @@
 // engine enqueues one token on every owner worker in sorted-key order
 // and runs a deposit-and-continue handoff — each owner atomically
 // deposits "arrived" at its token and keeps draining unrelated work,
-// and the last depositor executes, so an N-key command no longer idles
-// N−1 workers. The parking rendezvous it replaced survives behind
-// Tuning.NoMKHandoff as the ablation baseline; both protocols realize
-// the same 2PL lock point over the per-key FIFOs (see index.go for the
-// safety and deadlock-freedom argument).
+// and the last depositor executes, so an N-key command never idles
+// N−1 workers. The last deposit is a 2PL lock point over the per-key
+// FIFOs (see index.go for the safety and deadlock-freedom argument).
 //
 // Both engines are deterministic with respect to their input stream: a
 // command waits for exactly the earlier-admitted live commands that
@@ -42,7 +40,6 @@ package sched
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -93,8 +90,8 @@ func (k SchedulerKind) String() string {
 // stick to it: the index engine preserves order across them, but the
 // scan engine hands each path to its scheduler over a separate
 // channel, so interleaving Submit and SubmitBatch calls would lose the
-// cross-path admission order (the delivery pumps always use exactly
-// one path, selected by Tuning.NoBatchAdmit).
+// cross-path admission order (the delivery pumps always use
+// SubmitBatch).
 //
 // Admitted requests stay the caller's: an engine reads a request until
 // it has executed and answered the command, and the trace stamps and
@@ -109,8 +106,7 @@ func (k SchedulerKind) String() string {
 // started. This is how the checkpoint subsystem snapshots the service
 // at one deterministic log position without stopping the engine.
 // Markers ride the same global-barrier machinery as Global commands
-// and are ordered with respect to the SubmitBatch stream (checkpointed
-// delivery pumps therefore always use batched admission).
+// and are ordered with respect to the SubmitBatch stream.
 type Engine interface {
 	Submit(req *command.Request) bool
 	SubmitBatch(reqs []*command.Request) bool
@@ -170,20 +166,16 @@ type Config struct {
 	// Journal optionally records steal/handoff events in the flight
 	// recorder.
 	Journal *obs.Journal
-	// Tuning carries the batch-admission pipeline knobs (all default
-	// on); the engines read the reader-set and stealing switches, the
-	// delivery paths read NoBatchAdmit.
+	// Tuning carries the pipeline knobs (all default on): the index
+	// engine reads the reader-set and stealing switches, the no-rep
+	// server the admission yield.
 	Tuning
 }
 
-// Tuning switches the batch-first pipeline optimisations off for
-// ablation. The zero value is the production configuration: batched
-// admission, reader sets, and work stealing all enabled.
+// Tuning switches the pipeline optimisations off for ablation. The
+// zero value is the production configuration: reader sets, work
+// stealing and the direct-path admission yield all enabled.
 type Tuning struct {
-	// NoBatchAdmit makes the delivery paths (sP-SMR pump, no-rep
-	// server) hand commands to the engine one Submit at a time instead
-	// of one SubmitBatch per decided batch.
-	NoBatchAdmit bool
 	// NoReaderSets makes the index engine serialize same-key read-only
 	// commands on the key's FIFO like writers (the pre-reader-set
 	// behavior); the scan engine ignores it.
@@ -193,15 +185,6 @@ type Tuning struct {
 	NoSteal bool
 	// StealBatch caps the commands moved per steal. Default 8.
 	StealBatch int
-	// NoMKHandoff makes the index engine run multi-key commands with
-	// the parking owner rendezvous (every owner worker idles at its
-	// token until the executor releases it) instead of the default
-	// deposit-and-continue handoff where owners keep draining unrelated
-	// work and the last depositor executes. The two protocols produce
-	// byte-identical results (see index.go); this is the ablation
-	// baseline the handoff is measured against. The scan engine
-	// ignores it.
-	NoMKHandoff bool
 	// AdmitYieldEvery paces the UNPACED direct delivery path (the
 	// no-rep server): its admission loop yields the processor after
 	// this many admitted commands, so on starved-core hosts the worker
@@ -214,24 +197,16 @@ type Tuning struct {
 	NoAdmitYield bool
 }
 
-// Label renders the tuning as "batch+rs+steal"-style ablation tags.
+// Label renders the tuning as "rs+steal"-style ablation tags.
 func (t Tuning) Label() string {
-	parts := []string{"batch", "rs", "steal"}
-	if t.NoBatchAdmit {
-		parts[0] = "single"
-	}
+	rs, steal := "rs", "steal"
 	if t.NoReaderSets {
-		parts[1] = "nors"
+		rs = "nors"
 	}
 	if t.NoSteal {
-		parts[2] = "nosteal"
+		steal = "nosteal"
 	}
-	if t.NoMKHandoff {
-		// Appended only when set, so the established three-part tags
-		// stay stable for the existing ablations.
-		parts = append(parts, "park")
-	}
-	return strings.Join(parts, "+")
+	return rs + "+" + steal
 }
 
 // Scheduler is a running scheduler-worker engine. Feed it with Submit

@@ -47,8 +47,8 @@ type ReplicaConfig struct {
 	// (default, the paper's bottleneck) or the index-based early
 	// scheduler.
 	Scheduler sched.SchedulerKind
-	// Tuning carries the batch-first pipeline knobs (batched admission,
-	// reader sets, work stealing); the zero value enables everything.
+	// Tuning carries the engine pipeline knobs (reader sets, work
+	// stealing); the zero value enables everything.
 	Tuning sched.Tuning
 	// QueueBound sizes the scheduler-to-workers hand-off channel.
 	QueueBound int
@@ -87,7 +87,6 @@ type ReplicaConfig struct {
 type Replica struct {
 	learner   *paxos.Learner
 	scheduler sched.Engine
-	perCmd    bool // deliver one Submit per command (ablation)
 	ckpt      *checkpoint.Driver
 	ckptSrv   *checkpoint.Server
 	journal   *obs.Journal
@@ -160,13 +159,9 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		scheduler: scheduler,
 		journal:   cfg.Journal,
 		replicaID: cfg.ReplicaID,
-		perCmd:    cfg.Tuning.NoBatchAdmit,
 		done:      make(chan struct{}),
 	}
 	if cfg.Checkpoint.Enabled() {
-		// Markers ride the batch admission path; the per-command
-		// ablation knob is overridden while checkpointing.
-		r.perCmd = false
 		p, err := checkpoint.Wire(checkpoint.WireConfig{
 			Config:    cfg.Checkpoint,
 			ReplicaID: cfg.ReplicaID,
@@ -234,8 +229,7 @@ func (r *Replica) Close() error {
 // the scheduler's sequential admission stream (the defining property
 // of sP-SMR). Whole decided batches are handed to the engine so it
 // acquires its shard and ingress locks once per burst instead of once
-// per command; NoBatchAdmit falls back to one Submit per command (the
-// ablation baseline).
+// per command.
 func (r *Replica) deliver() {
 	defer close(r.done)
 	cursor := r.learner.NewCursor()
@@ -252,18 +246,6 @@ func (r *Replica) deliver() {
 		// until the command completes, so slabs are never recycled —
 		// the GC frees a slab once its last command is done.
 		slab := make([]command.Request, len(batch.Items))
-		if r.perCmd {
-			for i, item := range batch.Items {
-				req := &slab[i]
-				if _, err := command.DecodeRequestInto(req, item, &replies); err != nil {
-					continue
-				}
-				if !r.scheduler.Submit(req) {
-					return
-				}
-			}
-			continue
-		}
 		reqs := make([]*command.Request, 0, len(batch.Items))
 		for i, item := range batch.Items {
 			req := &slab[i]

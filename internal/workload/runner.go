@@ -143,23 +143,6 @@ func KVTransferMix(keys KeyGen) Generator {
 	})
 }
 
-// KVTransferShare generates the multi-key handoff ablation workload:
-// transferPct percent two-key transfers between distinct uniformly
-// drawn keys, the rest single-key updates. Unlike KVCollisionMix there
-// is no hot set and no reads: every command is a keyed write, so the
-// sweep isolates how the share of multi-key commands taxes the keyed
-// admission path (parked owners vs deposit-and-continue handoff)
-// rather than conflict density or reader concurrency.
-func KVTransferShare(keys KeyGen, transferPct float64) Generator {
-	transfers, updates := KVTransfers(keys), KVUpdates(keys)
-	return genFunc(func(rng *rand.Rand) Op {
-		if rng.Float64()*100 < transferPct {
-			return transfers.Next(rng)
-		}
-		return updates.Next(rng)
-	})
-}
-
 // KVCollisionMix generates the optimistic-execution ablation workload:
 // collisionPct percent of operations are two-key transfers over a
 // small hot key set (heavily conflicting — exactly the commands whose

@@ -35,20 +35,19 @@ const (
 // the aggregated speculation counters. Optional mutators adjust the
 // cluster config before start (the compartment e2e uses them to switch
 // on the proxy tier and delivery fan-out).
-func runOptimisticWorkload(t *testing.T, scheduler psmr.SchedulerKind, optimistic bool, reorder int, reSpec bool, mutate ...func(*psmr.Config)) (uint64, psmr.OptimisticCounters) {
+func runOptimisticWorkload(t *testing.T, scheduler psmr.SchedulerKind, optimistic bool, reorder int, mutate ...func(*psmr.Config)) (uint64, psmr.OptimisticCounters) {
 	t.Helper()
 	var (
 		mu     sync.Mutex
 		stores []*markedStore
 	)
 	cfg := psmr.Config{
-		Mode:                  psmr.ModeSPSMR,
-		Workers:               optTestWorkers,
-		Scheduler:             scheduler,
-		Optimistic:            optimistic,
-		OptimisticReorder:     reorder,
-		OptimisticReSpeculate: reSpec,
-		Spec:                  kvstore.Spec(),
+		Mode:              psmr.ModeSPSMR,
+		Workers:           optTestWorkers,
+		Scheduler:         scheduler,
+		Optimistic:        optimistic,
+		OptimisticReorder: reorder,
+		Spec:              kvstore.Spec(),
 		NewService: func() command.Service {
 			mu.Lock()
 			defer mu.Unlock()
@@ -185,27 +184,21 @@ func runOptimisticWorkload(t *testing.T, scheduler psmr.SchedulerKind, optimisti
 // under forced optimistic-stream reordering (which exercises the
 // rollback path end to end). Runs under `make race`.
 func TestOptimisticDeterminismVsSPSMR(t *testing.T) {
-	want, _ := runOptimisticWorkload(t, psmr.SchedScan, false, 0, false)
+	want, _ := runOptimisticWorkload(t, psmr.SchedScan, false, 0)
 
 	variants := []struct {
 		name      string
 		scheduler psmr.SchedulerKind
 		reorder   int
-		reSpec    bool
 	}{
 		{name: "scan", scheduler: psmr.SchedScan},
 		{name: "index", scheduler: psmr.SchedIndex},
 		{name: "scan-reorder", scheduler: psmr.SchedScan, reorder: 2},
 		{name: "index-reorder", scheduler: psmr.SchedIndex, reorder: 2},
-		// Forced reordering with re-speculation: rollback collateral is
-		// re-admitted against the repaired state, and the final state
-		// must STILL be byte-identical to plain sP-SMR's.
-		{name: "scan-reorder-respec", scheduler: psmr.SchedScan, reorder: 2, reSpec: true},
-		{name: "index-reorder-respec", scheduler: psmr.SchedIndex, reorder: 2, reSpec: true},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			got, counters := runOptimisticWorkload(t, v.scheduler, true, v.reorder, v.reSpec)
+			got, counters := runOptimisticWorkload(t, v.scheduler, true, v.reorder)
 			if got != want {
 				t.Fatalf("optimistic %s fingerprint %x != sP-SMR %x (counters: %v)",
 					v.name, got, want, counters)
@@ -216,16 +209,13 @@ func TestOptimisticDeterminismVsSPSMR(t *testing.T) {
 			if counters.Decided() == 0 {
 				t.Fatalf("no decided commands reconciled: %v", counters)
 			}
-			if !v.reSpec && counters.ReSpeculations != 0 {
-				t.Fatalf("re-speculation fired with the knob off: %v", counters)
-			}
 			t.Logf("%s: %v", v.name, counters)
 		})
 	}
 
 	// Plain sP-SMR on the index engine must agree too (sanity for the
 	// cross-mode comparison itself).
-	if got, _ := runOptimisticWorkload(t, psmr.SchedIndex, false, 0, false); got != want {
+	if got, _ := runOptimisticWorkload(t, psmr.SchedIndex, false, 0); got != want {
 		t.Fatalf("sP-SMR index fingerprint %x != scan %x", got, want)
 	}
 }

@@ -60,9 +60,9 @@ type CheckpointCounters = checkpoint.Counters
 // SchedulerKind selects the sP-SMR scheduling engine (ModeSPSMR only).
 type SchedulerKind = sched.SchedulerKind
 
-// SchedTuning carries the batch-first execution pipeline knobs
-// (batched admission on/off, reader sets on/off, work stealing on/off
-// and its batch size); the zero value enables everything.
+// SchedTuning carries the execution pipeline knobs (reader sets
+// on/off, work stealing on/off and its batch size, the direct-path
+// admission yield); the zero value enables everything.
 type SchedTuning = sched.Tuning
 
 // sP-SMR scheduling engines.
@@ -150,9 +150,9 @@ type Config struct {
 	Scheduler SchedulerKind
 	// SchedulerQueue bounds the sP-SMR ready queue. Default 4096.
 	SchedulerQueue int
-	// SchedTuning switches the batch-first pipeline optimisations
-	// (batched admission, reader sets, work stealing, steal batch
-	// size) off for ablations; the zero value is the tuned pipeline.
+	// SchedTuning switches the pipeline optimisations (reader sets,
+	// work stealing, steal batch size, admission yield) off for
+	// ablations; the zero value is the tuned pipeline.
 	SchedTuning SchedTuning
 	// Optimistic enables optimistic execution on the sP-SMR path
 	// (ModeSPSMR only): coordinators push proposals to the learners
@@ -167,11 +167,6 @@ type Config struct {
 	// test/ablation knob forcing optimistic/decided divergence (a
 	// stable single leader never reorders on its own).
 	OptimisticReorder int
-	// OptimisticReSpeculate re-admits rollback-withdrawn commands as
-	// fresh speculations against the repaired state instead of leaving
-	// them to execute as decided-path misses (see internal/optimistic;
-	// requires Optimistic).
-	OptimisticReSpeculate bool
 	// Proxies, when positive, starts that many stateless proxy-proposers
 	// (the compartmentalized ordering layer's ingress tier): clients
 	// submit to a proxy, which batches frames per group and forwards one
@@ -313,10 +308,8 @@ type Cluster struct {
 
 	// replMu guards the replica slots: RestartReplica swaps a slot
 	// while the anomaly watcher and live metric scrapes read them.
-	replMu    sync.RWMutex
-	replicas  []*core.Replica
-	schedRepl []*spsmr.Replica
-	optRepl   []*optimistic.Replica
+	replMu   sync.RWMutex
+	replicas []replica
 
 	tracer  *obs.Tracer
 	reg     *obs.Registry
@@ -556,17 +549,26 @@ func ProxyAddr(i int) transport.Addr {
 	return transport.Addr(fmt.Sprintf("proxy%d", i))
 }
 
+// replica is what the cluster needs of every execution engine: the
+// P-SMR/SMR core replica, the sP-SMR replica and the optimistic
+// replica. Engine-specific statistics (scheduler stats, speculation
+// counters) are reached by type assertion.
+type replica interface {
+	Close() error
+	GapStalls() uint64
+	CheckpointCounters() checkpoint.Counters
+}
+
+// schedReplica is a replica driven by a sched engine (sP-SMR, with or
+// without speculation).
+type schedReplica interface {
+	SchedStats() (stolen uint64, raided int64)
+}
+
 // startReplicas launches the mode-specific execution engines.
 func (cl *Cluster) startReplicas() error {
 	cfg := &cl.cfg
-	switch {
-	case cfg.Mode == ModeSPSMR && cfg.Optimistic:
-		cl.optRepl = make([]*optimistic.Replica, cfg.Replicas)
-	case cfg.Mode == ModeSPSMR:
-		cl.schedRepl = make([]*spsmr.Replica, cfg.Replicas)
-	default:
-		cl.replicas = make([]*core.Replica, cfg.Replicas)
-	}
+	cl.replicas = make([]replica, cfg.Replicas)
 	for r := 0; r < cfg.Replicas; r++ {
 		if err := cl.startReplica(r, nil); err != nil {
 			return err
@@ -580,57 +582,31 @@ func (cl *Cluster) startReplicas() error {
 // the new replica bootstraps from.
 func (cl *Cluster) startReplica(r int, peers []transport.Addr) error {
 	cfg := &cl.cfg
-	switch cfg.Mode {
-	case ModePSMR, ModeSMR:
-		rep, err := core.StartReplica(core.ReplicaConfig{
+	var (
+		rep replica
+		err error
+	)
+	switch {
+	case cfg.Mode == ModeSPSMR && cfg.Optimistic:
+		rep, err = optimistic.StartReplica(optimistic.ReplicaConfig{
 			ReplicaID:    r,
 			Workers:      cfg.Workers,
 			Service:      cfg.NewService(),
-			Groups:       cl.groups,
-			Subsets:      cl.subsets,
+			Spec:         cfg.Spec,
+			Group:        cl.groups[0],
 			Transport:    cfg.Transport,
-			MergeWeight:  cfg.MergeWeight,
+			Scheduler:    cfg.Scheduler,
+			Tuning:       cfg.SchedTuning,
+			QueueBound:   cfg.SchedulerQueue,
+			ReorderEvery: cfg.OptimisticReorder,
 			Checkpoint:   cfg.Checkpoint,
 			RecoverPeers: peers,
 			CPU:          cfg.CPU,
 			Trace:        cl.tracer,
 			Journal:      cl.journal,
 		})
-		if err != nil {
-			return fmt.Errorf("psmr: start replica %d: %w", r, err)
-		}
-		cl.replMu.Lock()
-		cl.replicas[r] = rep
-		cl.replMu.Unlock()
-	case ModeSPSMR:
-		if cfg.Optimistic {
-			rep, err := optimistic.StartReplica(optimistic.ReplicaConfig{
-				ReplicaID:    r,
-				Workers:      cfg.Workers,
-				Service:      cfg.NewService(),
-				Spec:         cfg.Spec,
-				Group:        cl.groups[0],
-				Transport:    cfg.Transport,
-				Scheduler:    cfg.Scheduler,
-				Tuning:       cfg.SchedTuning,
-				QueueBound:   cfg.SchedulerQueue,
-				ReorderEvery: cfg.OptimisticReorder,
-				ReSpeculate:  cfg.OptimisticReSpeculate,
-				Checkpoint:   cfg.Checkpoint,
-				RecoverPeers: peers,
-				CPU:          cfg.CPU,
-				Trace:        cl.tracer,
-				Journal:      cl.journal,
-			})
-			if err != nil {
-				return fmt.Errorf("psmr: start optimistic replica %d: %w", r, err)
-			}
-			cl.replMu.Lock()
-			cl.optRepl[r] = rep
-			cl.replMu.Unlock()
-			return nil
-		}
-		rep, err := spsmr.StartReplica(spsmr.ReplicaConfig{
+	case cfg.Mode == ModeSPSMR:
+		rep, err = spsmr.StartReplica(spsmr.ReplicaConfig{
 			ReplicaID:    r,
 			Workers:      cfg.Workers,
 			Service:      cfg.NewService(),
@@ -646,13 +622,28 @@ func (cl *Cluster) startReplica(r int, peers []transport.Addr) error {
 			Trace:        cl.tracer,
 			Journal:      cl.journal,
 		})
-		if err != nil {
-			return fmt.Errorf("psmr: start sp-smr replica %d: %w", r, err)
-		}
-		cl.replMu.Lock()
-		cl.schedRepl[r] = rep
-		cl.replMu.Unlock()
+	default:
+		rep, err = core.StartReplica(core.ReplicaConfig{
+			ReplicaID:    r,
+			Workers:      cfg.Workers,
+			Service:      cfg.NewService(),
+			Groups:       cl.groups,
+			Subsets:      cl.subsets,
+			Transport:    cfg.Transport,
+			MergeWeight:  cfg.MergeWeight,
+			Checkpoint:   cfg.Checkpoint,
+			RecoverPeers: peers,
+			CPU:          cfg.CPU,
+			Trace:        cl.tracer,
+			Journal:      cl.journal,
+		})
 	}
+	if err != nil {
+		return fmt.Errorf("psmr: start %v replica %d: %w", cfg.Mode, r, err)
+	}
+	cl.replMu.Lock()
+	cl.replicas[r] = rep
+	cl.replMu.Unlock()
 	return nil
 }
 
@@ -756,14 +747,10 @@ func (cl *Cluster) OrderingCounters() OrderingCounters {
 // CrashReplica kills replica r (clients keep being served by the
 // others).
 func (cl *Cluster) CrashReplica(r int) {
-	switch {
-	case cl.cfg.Mode == ModeSPSMR && cl.cfg.Optimistic:
-		_ = cl.optRepl[r].Close()
-	case cl.cfg.Mode == ModeSPSMR:
-		_ = cl.schedRepl[r].Close()
-	default:
-		_ = cl.replicas[r].Close()
-	}
+	cl.replMu.RLock()
+	rep := cl.replicas[r]
+	cl.replMu.RUnlock()
+	_ = rep.Close()
 }
 
 // RestartReplica restarts a crashed (or still-running — it is closed
@@ -800,16 +787,6 @@ func (cl *Cluster) CheckpointCounters() []CheckpointCounters {
 			counters = append(counters, rep.CheckpointCounters())
 		}
 	}
-	for _, rep := range cl.schedRepl {
-		if rep != nil {
-			counters = append(counters, rep.CheckpointCounters())
-		}
-	}
-	for _, rep := range cl.optRepl {
-		if rep != nil {
-			counters = append(counters, rep.CheckpointCounters())
-		}
-	}
 	return counters
 }
 
@@ -818,9 +795,11 @@ func (cl *Cluster) CheckpointCounters() []CheckpointCounters {
 func (cl *Cluster) OptimisticCounters() []OptimisticCounters {
 	cl.replMu.RLock()
 	defer cl.replMu.RUnlock()
-	counters := make([]OptimisticCounters, 0, len(cl.optRepl))
-	for _, rep := range cl.optRepl {
-		counters = append(counters, rep.Counters())
+	var counters []OptimisticCounters
+	for _, rep := range cl.replicas {
+		if rep, ok := rep.(*optimistic.Replica); ok {
+			counters = append(counters, rep.Counters())
+		}
 	}
 	return counters
 }
@@ -945,32 +924,12 @@ func (cl *Cluster) registerMetrics() {
 
 	if cl.cfg.Mode == ModeSPSMR {
 		r.FuncCounter("sched_stolen_total", "", func() uint64 {
-			cl.replMu.RLock()
-			defer cl.replMu.RUnlock()
-			var total uint64
-			for _, rep := range cl.schedRepl {
-				s, _ := rep.SchedStats()
-				total += s
-			}
-			for _, rep := range cl.optRepl {
-				s, _ := rep.SchedStats()
-				total += s
-			}
-			return total
+			stolen, _ := cl.schedStats()
+			return stolen
 		})
 		r.FuncGauge("sched_raided", "", func() float64 {
-			cl.replMu.RLock()
-			defer cl.replMu.RUnlock()
-			var total int64
-			for _, rep := range cl.schedRepl {
-				_, ra := rep.SchedStats()
-				total += ra
-			}
-			for _, rep := range cl.optRepl {
-				_, ra := rep.SchedStats()
-				total += ra
-			}
-			return float64(total)
+			_, raided := cl.schedStats()
+			return float64(raided)
 		})
 	}
 
@@ -985,6 +944,21 @@ func (cl *Cluster) registerMetrics() {
 				})
 		}
 	}
+}
+
+// schedStats sums the work-stealing statistics across every
+// engine-driven replica.
+func (cl *Cluster) schedStats() (stolen uint64, raided int64) {
+	cl.replMu.RLock()
+	defer cl.replMu.RUnlock()
+	for _, rep := range cl.replicas {
+		if rep, ok := rep.(schedReplica); ok {
+			s, ra := rep.SchedStats()
+			stolen += s
+			raided += ra
+		}
+	}
+	return stolen, raided
 }
 
 // watchRelays is the relay-staleness watchdog (FanoutDegree > 0): a
@@ -1041,8 +1015,9 @@ func (cl *Cluster) watchRelays() {
 // watchAnomalies is the flight recorder's trigger loop for the
 // execution-side black-box conditions the relay watchdog cannot see:
 // learner gap stalls (a replica waiting on retransmission while its
-// peers advance) and optimistic rollback storms (a re-speculation
-// cascade burning CPU without confirming work). Each tick compares the
+// peers advance) and optimistic rollback storms (speculation
+// mis-ordered so often that rollbacks burn CPU without confirming
+// work). Each tick compares the
 // counters against the previous tick and cuts a diagnostic bundle on a
 // fresh burst; Flight's per-reason cooldown keeps a sustained storm
 // from flooding the bundle ring.
@@ -1085,16 +1060,6 @@ func (cl *Cluster) gapStalls() uint64 {
 			total += rep.GapStalls()
 		}
 	}
-	for _, rep := range cl.schedRepl {
-		if rep != nil {
-			total += rep.GapStalls()
-		}
-	}
-	for _, rep := range cl.optRepl {
-		if rep != nil {
-			total += rep.GapStalls()
-		}
-	}
 	return total
 }
 
@@ -1124,16 +1089,6 @@ func (cl *Cluster) Close() error {
 		<-cl.anomDone
 	}
 	for _, rep := range cl.replicas {
-		if rep != nil {
-			_ = rep.Close()
-		}
-	}
-	for _, rep := range cl.schedRepl {
-		if rep != nil {
-			_ = rep.Close()
-		}
-	}
-	for _, rep := range cl.optRepl {
 		if rep != nil {
 			_ = rep.Close()
 		}
