@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test no-retired allocs-gate obs-gate flight-gate race paxos-stress bench sched-ablation admit-ablation multikey-ablation optimistic-ablation rollback-ablation recovery-ablation compartment-ablation obs-ablation
+.PHONY: verify fmt vet build test no-retired allocs-gate obs-gate flight-gate race paxos-stress bench
 
 verify: fmt vet build test no-retired allocs-gate obs-gate flight-gate
 
@@ -30,9 +30,13 @@ test:
 #   - per-command admission (Tuning.NoBatchAdmit); the delivery paths
 #     always admit whole batches;
 #   - re-speculation of rollback collateral (ReSpeculate and its
-#     counters).
+#     counters);
+#   - the second experiment runner and its setup type (RunKVAblation,
+#     AblationSetup) and the per-row knobs the experiment table made
+#     redundant (EmbedObs, TagTuning); every row runs through
+#     experiment.RunKV and carries the full registry.
 no-retired:
-	@if git ls-files '*.go' | grep -v '_test\.go$$' | xargs grep -nE 'command\.(Undoable|Cloneable)|NoMKHandoff|NoBatchAdmit|ReSpeculat|rendezvousMulti' 2>/dev/null; then \
+	@if git ls-files '*.go' | grep -v '_test\.go$$' | xargs grep -nE 'command\.(Undoable|Cloneable)|NoMKHandoff|NoBatchAdmit|ReSpeculat|rendezvousMulti|RunKVAblation|AblationSetup|EmbedObs|TagTuning' 2>/dev/null; then \
 		echo "verify: non-test code references a retired design (see the no-retired target)"; \
 		exit 1; \
 	fi
@@ -101,55 +105,8 @@ paxos-stress:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Scan vs index-based scheduler ablation (update-heavy kvstore).
-sched-ablation:
-	$(GO) run ./cmd/psmr-bench -exp sched
-
-# Admission ablation on the index engine: reader sets x work stealing
-# (50/50 read/update kvstore). Decided batches are always admitted
-# whole; per-command admission was retired.
-admit-ablation:
-	$(GO) run ./cmd/psmr-bench -exp admit
-
-# Barrier-vs-multikey ablation: the two-key kvstore transfer under a
-# single-key C-G (all-worker barrier) vs the key-set C-Dep (multi-key
-# tokens on the touched keys' owners only), on both scheduling engines.
-multikey-ablation:
-	$(GO) run ./cmd/psmr-bench -exp multikey
-
-# Optimistic-execution ablation: speculate on the coordinators'
-# pre-consensus stream and reconcile on the decided order, off/on x
-# scan/index engines x workload collision rate; reports speculation
-# hit-rate and rollback counters.
-optimistic-ablation:
-	$(GO) run ./cmd/psmr-bench -exp optimistic
-
-# Rollback-model ablation: decided-path baseline vs mvstore epoch
-# abort under forced optimistic reordering at 0/10/50% collision;
-# emits BENCH_rollback.json alongside the printed rows. The netfs abort-cost-vs-store-size half of the story is
-# BenchmarkRollbackDepth (`make bench`).
-rollback-ablation:
-	$(GO) run ./cmd/psmr-bench -exp rollback
-
-# Checkpoint/recovery ablation: coordinated on-barrier snapshots at
-# interval off/1k/8k/64k decided commands x scan/index engines;
-# reports throughput plus the quiesce pause and snapshot size. The
-# crash-recovery e2e itself runs in the `race` gate
-# (recovery_e2e_test.go).
-recovery-ablation:
-	$(GO) run ./cmd/psmr-bench -exp checkpoint
-
-# Compartmentalized-ordering ablation: proxy-proposer tier size
-# (0/1/2/4 ingress proxies) x learner fan-out off/2 delivery stripes
-# per group; reports throughput, the leader's inbound frames-per-
-# command compression and the proxies' batch fill, and emits
-# BENCH_compartment.json alongside the printed rows.
-compartment-ablation:
-	$(GO) run ./cmd/psmr-bench -exp compartment
-
-# Observability ablation: pipeline-stage tracing off / 1-in-1024
-# sampled / every command x scan/index engines; prints the per-stage
-# latency breakdown for the traced rows and emits BENCH_obs.json with
-# the stage histograms and the full registry snapshot embedded.
-obs-ablation:
-	$(GO) run ./cmd/psmr-bench -exp obs
+# The paper's figures and the ablations have no targets of their own:
+# each is one entry of the experiment table (internal/experiment),
+# run as `go run ./cmd/psmr-bench -exp <name>` (`-exp all` for every
+# entry but the gates). Each run writes BENCH_<name>.json into the
+# working directory.

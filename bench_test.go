@@ -2,21 +2,21 @@ package psmr_test
 
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§VII) at benchmark scale. Each Benchmark* family is one
-// artifact; cmd/psmr-bench runs the same experiments at full scale and
-// EXPERIMENTS.md records paper-vs-measured values.
+// entry of the experiment table (experiment.Entries); cmd/psmr-bench
+// runs the same entries at full scale.
 //
 // The benchmarks report Kcps (kilo-commands per second, the paper's
-// unit), mean latency in ms, and server CPU% as custom metrics; b.N is
-// decoupled from the measured interval (each iteration is one full
-// timed run).
+// unit), mean latency in ms, per-thread Kcps and server CPU% as custom
+// metrics; b.N is decoupled from the measured interval (each iteration
+// is one full timed run).
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
-	psmr "github.com/psmr/psmr"
 	"github.com/psmr/psmr/internal/bench"
 	"github.com/psmr/psmr/internal/experiment"
 	"github.com/psmr/psmr/internal/kvstore"
@@ -27,8 +27,7 @@ import (
 
 // benchScale keeps benchmark iterations short.
 func benchScale() experiment.Scale {
-	s := experiment.QuickScale()
-	return s
+	return experiment.QuickScale()
 }
 
 func reportResult(b *testing.B, res *bench.Result) {
@@ -37,174 +36,85 @@ func reportResult(b *testing.B, res *bench.Result) {
 	if res.Latency != nil && res.Latency.Count() > 0 {
 		b.ReportMetric(float64(res.Latency.Mean().Microseconds())/1000, "ms/op-mean")
 	}
+	// The paper's bottom panels (Figures 5 and 7): per-thread
+	// normalised throughput.
+	b.ReportMetric(res.Kcps()/float64(res.Threads), "Kcps/thread")
 	b.ReportMetric(res.CPUPercent, "server-cpu%")
 }
 
-func runKVBench(b *testing.B, setup experiment.KVSetup) {
+func runRowBench(b *testing.B, row experiment.Row) {
 	b.Helper()
 	var last *bench.Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunKV(setup)
+		res, err := row.Run()
 		if err != nil {
-			b.Fatalf("RunKV: %v", err)
+			b.Fatalf("%s: %v", row.Label(), err)
 		}
 		last = res
 	}
 	reportResult(b, last)
 }
 
+// benchEntry runs every row of one experiment-table entry as a
+// sub-benchmark (8 threads where the entry sweeps them).
+func benchEntry(b *testing.B, name string) {
+	e, ok := experiment.Lookup(name)
+	if !ok {
+		b.Fatalf("no experiment %q", name)
+	}
+	for _, row := range e.Rows(benchScale(), 8) {
+		b.Run(row.Label(), func(b *testing.B) { runRowBench(b, row) })
+	}
+}
+
 // BenchmarkTable1 prints the structural parallelism matrix (Table I).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiment.PrintTable1(discard{})
+		experiment.PrintTable1(io.Discard)
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkFig3 — performance of independent commands (read-only KV):
-// no-rep(2), SMR(1), sP-SMR(2), P-SMR(8), BDB(6).
-func BenchmarkFig3(b *testing.B) {
-	for _, setup := range experiment.Fig3Setups(benchScale()) {
-		b.Run(fmt.Sprintf("%s-%dthr", setup.Technique, setup.Threads), func(b *testing.B) {
-			runKVBench(b, setup)
-		})
-	}
-}
+// SMR(1), no-rep(2), sP-SMR(2), P-SMR(8), BDB(6).
+func BenchmarkFig3(b *testing.B) { benchEntry(b, "fig3") }
 
 // BenchmarkFig4 — performance of dependent commands (insert/delete
 // KV): every technique at 1 thread, BDB at 4.
-func BenchmarkFig4(b *testing.B) {
-	for _, setup := range experiment.Fig4Setups(benchScale()) {
-		b.Run(fmt.Sprintf("%s-%dthr", setup.Technique, setup.Threads), func(b *testing.B) {
-			runKVBench(b, setup)
-		})
-	}
-}
+func BenchmarkFig4(b *testing.B) { benchEntry(b, "fig4") }
 
 // BenchmarkFig5 — scalability with the number of threads, independent
 // and dependent workloads.
-func BenchmarkFig5(b *testing.B) {
-	scale := benchScale()
-	for _, p := range experiment.Fig5Points() {
-		dep := "indep"
-		if p.Dependent {
-			dep = "dep"
-		}
-		b.Run(fmt.Sprintf("%s/%s-%dthr", dep, p.Technique, p.Threads), func(b *testing.B) {
-			var last *bench.Result
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunFig5Point(scale, p)
-				if err != nil {
-					b.Fatalf("RunFig5Point: %v", err)
-				}
-				last = res
-			}
-			reportResult(b, last)
-			// The paper's bottom panels: per-thread normalised
-			// throughput.
-			b.ReportMetric(last.Kcps()/float64(p.Threads), "Kcps/thread")
-		})
-	}
-}
+func BenchmarkFig5(b *testing.B) { benchEntry(b, "fig5") }
 
 // BenchmarkFig6 — mixed workloads: P-SMR(8) vs SMR as the percentage
 // of dependent commands grows (log-scale sweep; the paper's breakeven
 // is ~10%).
-func BenchmarkFig6(b *testing.B) {
-	scale := benchScale()
-	for _, tech := range []experiment.Technique{experiment.PSMR, experiment.SMR} {
-		for _, pct := range experiment.Fig6Percentages() {
-			b.Run(fmt.Sprintf("%s/dep%g%%", tech, pct), func(b *testing.B) {
-				var last *bench.Result
-				for i := 0; i < b.N; i++ {
-					res, err := experiment.RunFig6Point(scale, tech, pct)
-					if err != nil {
-						b.Fatalf("RunFig6Point: %v", err)
-					}
-					last = res
-				}
-				reportResult(b, last)
-			})
-		}
-	}
-}
+func BenchmarkFig6(b *testing.B) { benchEntry(b, "fig6") }
 
 // BenchmarkFig7 — skewed workloads (50% reads / 50% updates): P-SMR vs
 // sP-SMR under uniform and Zipf(1) key selection across threads.
-func BenchmarkFig7(b *testing.B) {
-	scale := benchScale()
-	for _, zipfian := range []bool{false, true} {
-		dist := "uniform"
-		if zipfian {
-			dist = "zipf"
-		}
-		for _, tech := range []experiment.Technique{experiment.PSMR, experiment.SPSMR} {
-			for _, threads := range []int{1, 2, 4, 8} {
-				b.Run(fmt.Sprintf("%s/%s-%dthr", dist, tech, threads), func(b *testing.B) {
-					var last *bench.Result
-					for i := 0; i < b.N; i++ {
-						res, err := experiment.RunFig7Point(scale, tech, threads, zipfian)
-						if err != nil {
-							b.Fatalf("RunFig7Point: %v", err)
-						}
-						last = res
-					}
-					reportResult(b, last)
-					b.ReportMetric(last.Kcps()/float64(threads), "Kcps/thread")
-				})
-			}
-		}
-	}
-}
+func BenchmarkFig7(b *testing.B) { benchEntry(b, "fig7") }
 
 // BenchmarkFig8 — NetFS reads and writes: SMR, sP-SMR, P-SMR with 8
 // path ranges, 1024-byte I/O, lz4-compressed payloads.
-func BenchmarkFig8(b *testing.B) {
-	scale := benchScale()
-	for _, write := range []bool{false, true} {
-		op := "reads"
-		if write {
-			op = "writes"
-		}
-		for _, tech := range []experiment.Technique{experiment.SMR, experiment.SPSMR, experiment.PSMR} {
-			b.Run(fmt.Sprintf("%s/%s", op, tech), func(b *testing.B) {
-				var last *bench.Result
-				for i := 0; i < b.N; i++ {
-					res, err := experiment.RunFig8Point(scale, tech, write)
-					if err != nil {
-						b.Fatalf("RunFig8Point: %v", err)
-					}
-					last = res
-				}
-				reportResult(b, last)
-			})
-		}
-	}
-}
+func BenchmarkFig8(b *testing.B) { benchEntry(b, "fig8") }
 
-// --- Ablations (design choices DESIGN.md §7 calls out) ---
+// --- Protocol-knob ablations (P-SMR, 4 workers, 50/50 read/update) ---
+
+func ablationRow(threads int, mutate func(*experiment.KVSetup)) experiment.Row {
+	setup := benchScale().Setup(experiment.PSMR, threads)
+	setup.Gen = workload.KVReadUpdate
+	mutate(&setup)
+	return experiment.Row{KVSetup: setup}
+}
 
 // BenchmarkAblationMergeWeight varies the deterministic-merge weight
 // (and matching skip slot rate): small weights stall busy streams
 // behind idle ones, large weights add delivery burstiness.
 func BenchmarkAblationMergeWeight(b *testing.B) {
-	scale := benchScale()
 	for _, weight := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("w%d", weight), func(b *testing.B) {
-			setup := scale.KVAblationSetup(experiment.PSMR, 4)
-			setup.MergeWeight = weight
-			var last *bench.Result
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunKVAblation(setup)
-				if err != nil {
-					b.Fatalf("RunKVAblation: %v", err)
-				}
-				last = res
-			}
-			reportResult(b, last)
+			runRowBench(b, ablationRow(4, func(s *experiment.KVSetup) { s.MergeWeight = weight }))
 		})
 	}
 }
@@ -212,20 +122,9 @@ func BenchmarkAblationMergeWeight(b *testing.B) {
 // BenchmarkAblationBatchSize varies the consensus batch limit around
 // the paper's 8 KB.
 func BenchmarkAblationBatchSize(b *testing.B) {
-	scale := benchScale()
 	for _, size := range []int{1024, 8192, 65536} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			setup := scale.KVAblationSetup(experiment.PSMR, 4)
-			setup.BatchMaxBytes = size
-			var last *bench.Result
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunKVAblation(setup)
-				if err != nil {
-					b.Fatalf("RunKVAblation: %v", err)
-				}
-				last = res
-			}
-			reportResult(b, last)
+			runRowBench(b, ablationRow(4, func(s *experiment.KVSetup) { s.BatchMaxBytes = size }))
 		})
 	}
 }
@@ -234,46 +133,21 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 // (§IV-C): the keyed C-G (updates spread across groups) against the
 // coarse one (every update synchronous).
 func BenchmarkAblationCoarseCG(b *testing.B) {
-	scale := benchScale()
-	for _, coarse := range []bool{false, true} {
-		name := "keyed-cg"
-		if coarse {
-			name = "coarse-cg"
-		}
-		b.Run(name, func(b *testing.B) {
-			setup := scale.KVAblationSetup(experiment.PSMR, 4)
-			setup.CoarseCG = coarse
-			setup.Gen = workload.KVReadUpdate
-			var last *bench.Result
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunKVAblation(setup)
-				if err != nil {
-					b.Fatalf("RunKVAblation: %v", err)
-				}
-				last = res
-			}
-			reportResult(b, last)
-		})
-	}
+	coarse := experiment.CoarseKVSpec()
+	b.Run("keyed-cg", func(b *testing.B) {
+		runRowBench(b, ablationRow(4, func(*experiment.KVSetup) {}))
+	})
+	b.Run("coarse-cg", func(b *testing.B) {
+		runRowBench(b, ablationRow(4, func(s *experiment.KVSetup) { s.Spec = &coarse }))
+	})
 }
 
 // BenchmarkAblationBarrierFanout measures synchronous-mode cost as the
 // destination set grows: global commands with 1..8 workers.
 func BenchmarkAblationBarrierFanout(b *testing.B) {
-	scale := benchScale()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dworkers", workers), func(b *testing.B) {
-			setup := scale.KVAblationSetup(experiment.PSMR, workers)
-			setup.Gen = workload.KVInsertsDeletes
-			var last *bench.Result
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunKVAblation(setup)
-				if err != nil {
-					b.Fatalf("RunKVAblation: %v", err)
-				}
-				last = res
-			}
-			reportResult(b, last)
+			runRowBench(b, ablationRow(workers, func(s *experiment.KVSetup) { s.Gen = workload.KVInsertsDeletes }))
 		})
 	}
 }
@@ -281,50 +155,16 @@ func BenchmarkAblationBarrierFanout(b *testing.B) {
 // BenchmarkAblationScheduler — the scan scheduler (the paper's sP-SMR
 // bottleneck) against the index-based early scheduler, on sP-SMR and
 // no-rep, update-heavy kvstore workload at 8 workers.
-func BenchmarkAblationScheduler(b *testing.B) {
-	scale := benchScale()
-	for _, setup := range experiment.SchedAblationSetups(scale, 8) {
-		name := fmt.Sprintf("%s-scan", setup.Technique)
-		if setup.Scheduler == psmr.SchedIndex {
-			name = fmt.Sprintf("%s-index", setup.Technique)
-		}
-		b.Run(name, func(b *testing.B) {
-			runKVBench(b, setup)
-		})
-	}
-}
+func BenchmarkAblationScheduler(b *testing.B) { benchEntry(b, "sched") }
 
 // BenchmarkAblationMultiKey sweeps the barrier-vs-multikey C-G
-// treatment of the two-key transfer across both scheduling engines
-// (the `-exp multikey` rows at benchmark scale).
-func BenchmarkAblationMultiKey(b *testing.B) {
-	scale := benchScale()
-	for _, setup := range experiment.MultiKeyAblationSetups(scale, 8) {
-		engine := "scan"
-		if setup.Scheduler == psmr.SchedIndex {
-			engine = "index"
-		}
-		b.Run(fmt.Sprintf("%s-%s", setup.Tag, engine), func(b *testing.B) {
-			runKVBench(b, setup)
-		})
-	}
-}
+// treatment of the two-key transfer across both scheduling engines.
+func BenchmarkAblationMultiKey(b *testing.B) { benchEntry(b, "multikey") }
 
 // BenchmarkAblationCheckpoint sweeps the coordinated-checkpoint
-// interval across both scheduling engines (the `-exp checkpoint` rows
-// at benchmark scale): what crash-recoverability costs in throughput.
-func BenchmarkAblationCheckpoint(b *testing.B) {
-	scale := benchScale()
-	for _, setup := range experiment.CheckpointAblationSetups(scale, 8) {
-		engine := "scan"
-		if setup.Scheduler == psmr.SchedIndex {
-			engine = "index"
-		}
-		b.Run(fmt.Sprintf("%s-%s", setup.Tag, engine), func(b *testing.B) {
-			runKVBench(b, setup)
-		})
-	}
-}
+// interval across both scheduling engines: what crash-recoverability
+// costs in throughput.
+func BenchmarkAblationCheckpoint(b *testing.B) { benchEntry(b, "checkpoint") }
 
 // --- Rollback depth (mvstore abort cost vs store size) ---
 

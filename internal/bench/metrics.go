@@ -287,7 +287,7 @@ type Result struct {
 	Latency    *Histogram
 	CPUPercent float64            // total across roles
 	CPUByRole  map[string]float64 // per role
-	Extra      map[string]float64 // experiment-specific values
+	Extra      map[string]float64 // flattened metrics registry (replicated runs)
 	Breakdown  string             // per-stage latency table (tracing on)
 }
 

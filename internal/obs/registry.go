@@ -33,7 +33,7 @@
 // trace into the per-stage histograms takes a mutex, but folds happen
 // at the sampling rate (~throughput/1024), so contention is noise.
 // Tracing every command (TraceSample=1) is supported for debugging and
-// measured by `make obs-ablation`; it is priced accordingly.
+// measured by `psmr-bench -exp obs`; it is priced accordingly.
 //
 // # Flight recorder (the black-box argument)
 //
@@ -268,7 +268,7 @@ func (r *Registry) Snapshot() []Sample {
 
 // Flatten renders a snapshot as a flat name→value map (histograms
 // expand to _count/_mean_us/_p50_us/_p99_us/_max_us), the shape the
-// benchmark harness embeds in its JSON Extra maps.
+// benchmark harness records as each row's Extra map.
 func (r *Registry) Flatten() map[string]float64 {
 	snap := r.Snapshot()
 	if snap == nil {

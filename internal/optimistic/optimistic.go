@@ -86,7 +86,7 @@
 //
 // Hit-rate, rollback-count and rollback-depth counters are exposed via
 // Executor.Counters / Replica.Counters and surfaced by
-// `psmr-bench -exp optimistic` and `make optimistic-ablation`.
+// `psmr-bench -exp optimistic`.
 package optimistic
 
 import (

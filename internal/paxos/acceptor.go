@@ -24,8 +24,8 @@ type AcceptorConfig struct {
 
 // Acceptor is the durable voting role of Paxos. It maintains a single
 // promised ballot covering all instances (Multi-Paxos) and a map of
-// accepted (instance, ballot, value) triples. State is kept in memory;
-// log truncation is out of scope (see DESIGN.md).
+// accepted (instance, ballot, value) triples. State is kept in memory
+// and the accepted log is never truncated.
 type Acceptor struct {
 	cfg AcceptorConfig
 	ep  transport.Endpoint

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	psmr "github.com/psmr/psmr"
+	"github.com/psmr/psmr/internal/command"
+	"github.com/psmr/psmr/internal/kvstore"
 	"github.com/psmr/psmr/internal/obs"
 )
 
@@ -260,5 +262,74 @@ func TestClusterMetricsSnapshot(t *testing.T) {
 	}
 	if flat["ordering_leader_inbound_commands_total"] == 0 {
 		t.Fatal("leader inbound counter empty")
+	}
+}
+
+// TestClusterMetricsCheckpointOptimistic checks that the checkpoint and
+// speculation statistics the benchmark harness prints are registry
+// names: a checkpointed cluster exports the worst-replica pause and
+// snapshot size, an optimistic one the rollback depth and ghost
+// evictions, and neither appears on a cluster with the feature off.
+func TestClusterMetricsCheckpointOptimistic(t *testing.T) {
+	ckptNames := []string{"checkpoint_snapshots_total", "checkpoint_pause_ns_total",
+		"checkpoint_pause_max_ns", "checkpoint_snapshot_bytes"}
+	optNames := []string{"optimistic_hits_total", "optimistic_misses_total",
+		"optimistic_rollbacks_total", "optimistic_rolled_back_total",
+		"optimistic_rollback_depth_max", "optimistic_ghost_evictions_total"}
+	for _, v := range []struct {
+		name       string
+		checkpoint bool
+		optimistic bool
+	}{
+		{name: "checkpoint", checkpoint: true},
+		{name: "optimistic", optimistic: true},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := psmr.Config{
+				Mode:       psmr.ModeSPSMR,
+				Workers:    2,
+				Scheduler:  psmr.SchedIndex,
+				Optimistic: v.optimistic,
+				Spec:       kvstore.Spec(),
+				NewService: func() command.Service {
+					st := kvstore.New()
+					st.Preload(64)
+					return st
+				},
+			}
+			if v.checkpoint {
+				cfg.Checkpoint = psmr.CheckpointConfig{Interval: 8}
+			}
+			cl, err := psmr.StartCluster(cfg)
+			if err != nil {
+				t.Fatalf("StartCluster: %v", err)
+			}
+			t.Cleanup(func() { _ = cl.Close() })
+			h := mustClient(t, cl)
+			for i := uint64(0); i < 32; i++ {
+				h.invoke(kvstore.CmdUpdate, kvstore.EncodeKeyValue(i%16, []byte("v")))
+			}
+			flat := cl.Registry().Flatten()
+			want, absent := ckptNames, optNames
+			if v.optimistic {
+				want, absent = optNames, ckptNames
+			}
+			for _, name := range want {
+				if _, ok := flat[name]; !ok {
+					t.Errorf("%s not registered", name)
+				}
+			}
+			for _, name := range absent {
+				if _, ok := flat[name]; ok {
+					t.Errorf("%s registered with the feature off", name)
+				}
+			}
+			if v.checkpoint {
+				if flat["checkpoint_snapshots_total"] < 1 || flat["checkpoint_snapshot_bytes"] <= 0 {
+					t.Fatalf("no snapshot recorded after 32 commands at interval 8: %v / %v",
+						flat["checkpoint_snapshots_total"], flat["checkpoint_snapshot_bytes"])
+				}
+			}
+		})
 	}
 }

@@ -900,6 +900,15 @@ func (cl *Cluster) registerMetrics() {
 			sumCkpt(func(c checkpoint.Counters) uint64 { return c.Restores }))
 		r.FuncCounter("checkpoint_pause_ns_total", "",
 			sumCkpt(func(c checkpoint.Counters) uint64 { return c.TotalPauseNs }))
+		// Pause and size report the worst replica, not a sum.
+		worstCkpt := func() (agg checkpoint.Counters) {
+			for _, c := range cl.CheckpointCounters() {
+				agg.Add(c)
+			}
+			return agg
+		}
+		r.FuncGauge("checkpoint_pause_max_ns", "", func() float64 { return float64(worstCkpt().MaxPauseNs) })
+		r.FuncGauge("checkpoint_snapshot_bytes", "", func() float64 { return float64(worstCkpt().LastBytes) })
 	}
 
 	if cl.cfg.Optimistic {
@@ -920,6 +929,17 @@ func (cl *Cluster) registerMetrics() {
 			sumOpt(func(c optimistic.Counters) uint64 { return c.Misses }))
 		r.FuncCounter("optimistic_rollbacks_total", "",
 			sumOpt(func(c optimistic.Counters) uint64 { return c.Rollbacks }))
+		r.FuncCounter("optimistic_rolled_back_total", "",
+			sumOpt(func(c optimistic.Counters) uint64 { return c.RolledBack }))
+		r.FuncCounter("optimistic_ghost_evictions_total", "",
+			sumOpt(func(c optimistic.Counters) uint64 { return c.GhostEvictions }))
+		r.FuncGauge("optimistic_rollback_depth_max", "", func() float64 {
+			var agg optimistic.Counters
+			for _, c := range cl.OptimisticCounters() {
+				agg.Add(c)
+			}
+			return float64(agg.MaxRollbackDepth)
+		})
 	}
 
 	if cl.cfg.Mode == ModeSPSMR {
